@@ -24,13 +24,8 @@ from .io import (
 )
 from .metrics import compare_grid, write_block_errors_csv, write_report_csv
 from .notch import design_notch, filter_blocked
-from .suppress import (
-    ConfigurationError,
-    SuppressionConfig,
-    admissible_hint,
-    run,
-)
-from .transform import FrequencyNotRepresentable, build_plan, energy_spectrum
+from .suppress import ConfigurationError, SuppressionConfig, run
+from .transform import build_plan, energy_spectrum
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -223,11 +218,8 @@ def dispatch(argv: list[str]) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ConfigurationError, FrequencyNotRepresentable) as exc:
-        msg = str(exc)
-        if isinstance(exc, FrequencyNotRepresentable):
-            msg += f"; admissible block sizes: {admissible_hint(exc.f0, exc.fs)}"
-        print(f"configuration error: {msg}", file=sys.stderr)
+    except ConfigurationError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataFormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -31,6 +31,20 @@ class Signal:
         return len(self.samples)
 
 
+def blocks(samples: np.ndarray, n: int) -> np.ndarray:
+    """Consecutive length-n blocks of samples, one per row.
+
+    The final partial block is zero-padded; callers trim outputs back to
+    len(samples).
+    """
+    if n < 1:
+        raise ValueError(f"block length must be positive, got {n}")
+    total = len(samples)
+    out = np.zeros((-(-total // n), n))
+    out.reshape(-1)[:total] = samples
+    return out
+
+
 def read_csv(path: str | Path, column: int = 0, fs: float = 360.0) -> Signal:
     """Parse one column of a comma-separated numeric file."""
     values = []

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .io import Signal
+from .io import Signal, blocks
 from .notch import design_notch, filter_blocked
 from .suppress import SuppressionConfig, run
 
@@ -47,11 +47,6 @@ def total_error(per_block: np.ndarray) -> float:
     return float(per_block.sum())
 
 
-def _per_block(clean: np.ndarray, recon: np.ndarray, block_size: int) -> np.ndarray:
-    d = (clean - recon).reshape(-1, block_size)
-    return np.einsum("ij,ij->i", d, d)
-
-
 def compare_grid(
     clean: Signal,
     contaminated: Signal,
@@ -61,27 +56,22 @@ def compare_grid(
 ) -> list[SuppressionReport]:
     """Run both suppression methods at each block size and score against clean.
 
-    The final partial block is zero-padded on both the reconstruction and the
-    clean reference before scoring.
+    The final partial block is zero-padded on both the contaminated input and
+    the clean reference, and scored over the whole padded block.
     """
     if len(clean) != len(contaminated) or clean.fs != contaminated.fs:
         raise ValueError("clean and contaminated signals must match in length and fs")
     reports = []
     for n in block_sizes:
-        n_blocks = -(-len(clean) // n)
-        padded_len = n_blocks * n
-        clean_p = np.zeros(padded_len)
-        clean_p[: len(clean)] = clean.samples
-        dirty_p = np.zeros(padded_len)
-        dirty_p[: len(contaminated)] = contaminated.samples
-        dirty_sig = Signal(samples=dirty_p, fs=contaminated.fs)
-
+        clean_blocks = blocks(clean.samples, n)
+        dirty = blocks(contaminated.samples, n).reshape(-1)
         cfg = SuppressionConfig(block_size=n, interference_freqs=(f0,), fs=clean.fs)
-        rpt_out = run(dirty_sig, cfg).samples
-        notch_out = filter_blocked(design_notch(f0, clean.fs, q), dirty_p, n)
+        rpt_out = run(Signal(samples=dirty, fs=contaminated.fs), cfg).samples
+        notch_out = filter_blocked(design_notch(f0, clean.fs, q), dirty, n)
 
         for method, recon in (("rpt", rpt_out), ("notch", notch_out)):
-            errors = _per_block(clean_p, recon, n)
+            d = clean_blocks - recon.reshape(-1, n)
+            errors = np.einsum("ij,ij->i", d, d)
             reports.append(
                 SuppressionReport(
                     block_size=n,

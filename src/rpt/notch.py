@@ -9,6 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
+from .io import blocks
+
 
 @dataclass(frozen=True)
 class BiquadCoeffs:
@@ -79,10 +81,5 @@ def filter_blocked(coeffs: BiquadCoeffs, x: np.ndarray, block_size: int) -> np.n
     The final partial block is zero-padded, filtered, and trimmed, matching
     the subspace-suppression blocking.
     """
-    total = len(x)
-    n_blocks = -(-total // block_size)
-    padded = np.zeros(n_blocks * block_size)
-    padded[:total] = x
-    blocks = padded.reshape(n_blocks, block_size)
-    out = lfilter(coeffs.b, coeffs.a, blocks, axis=1)
-    return out.reshape(-1)[:total].copy()
+    out = lfilter(coeffs.b, coeffs.a, blocks(x, block_size), axis=1)
+    return out.reshape(-1)[: len(x)].copy()

@@ -7,12 +7,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .io import Signal
+from .io import Signal, blocks
 from .transform import (
     CoefficientVector,
     FrequencyNotRepresentable,
     TransformPlan,
-    build_plan,
+    bin_periods,
     forward,
     inverse,
     space_for_frequency,
@@ -104,16 +104,8 @@ def run(signal: Signal, config: SuppressionConfig) -> Signal:
         )
     n = config.block_size
     targets = config.target_spaces()
-    plan = build_plan(n)
-    mask = make_mask(plan, targets)
-
-    total = len(signal)
-    n_blocks = -(-total // n)
-    padded = np.zeros(n_blocks * n)
-    padded[:total] = signal.samples
-    blocks = padded.reshape(n_blocks, n)
-    # vectorized masked transform across all blocks at once
-    betas = blocks @ plan.analysis.T
-    betas *= mask.gains
-    cleaned = betas @ plan.basis.T
-    return Signal(samples=cleaned.reshape(-1)[:total].copy(), fs=signal.fs)
+    # zeroing a subspace's coefficients zeroes its DFT bins, block by block
+    spectra = np.fft.rfft(blocks(signal.samples, n), axis=1)
+    spectra[:, np.isin(bin_periods(n)[: spectra.shape[1]], list(targets))] = 0.0
+    cleaned = np.fft.irfft(spectra, n=n, axis=1)
+    return Signal(samples=cleaned.reshape(-1)[: len(signal)].copy(), fs=signal.fs)

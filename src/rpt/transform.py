@@ -2,9 +2,11 @@
 synthesis, projections, and per-period energy spectra.
 
 The transform matrix concatenates the shift bases of every divisor of the
-block length. Analysis is done per subspace with precomputed Gram inverses,
-which equals the dense matrix inverse because distinct subspaces are
-mutually orthogonal.
+block length. The period-m subspace of a length-N block is exactly the span
+of the DFT bins k with N / gcd(k, N) = m, so projections and energy spectra
+act on groups of DFT bins. The coefficient view (forward/inverse) solves
+each subspace against its closed-form Gram matrix; distinct subspaces are
+mutually orthogonal, so this equals the dense matrix inverse.
 """
 
 from __future__ import annotations
@@ -14,9 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ramanujan import divisors, euler_totient, shift_basis
-
-GRAM_TOL = 1e-9
+from .ramanujan import divisors, shift_basis
 
 
 @dataclass(frozen=True)
@@ -28,11 +28,9 @@ class TransformPlan:
     layout: dict[int, range]  # divisor -> coefficient index range
     basis: np.ndarray  # int64, n x n, columns grouped by ascending divisor
     norm_scales: np.ndarray  # Euclidean norm of each column
-    gram_inverses: dict[int, np.ndarray]  # divisor -> (R^T R)^-1
-    analysis: np.ndarray  # n x n, rows grouped like layout; equals basis^-1
 
     def __post_init__(self):
-        for a in (self.basis, self.norm_scales, self.analysis):
+        for a in (self.basis, self.norm_scales):
             a.setflags(write=False)
 
 
@@ -73,50 +71,59 @@ class FrequencyNotRepresentable(ValueError):
 
 
 def build_plan(n: int) -> TransformPlan:
-    """Precompute basis, layout, column norms, and per-space Gram inverses."""
+    """Integer shift basis, coefficient layout, and column norms for length n.
+
+    No inverse is stored: the period-m Gram matrix has the closed form
+    N * s_m(i - j), i, j < phi(m), which forward() reads off the basis.
+    """
     if n < 1:
         raise ValueError(f"block length must be positive, got {n}")
     divs = divisors(n)
     layout: dict[int, range] = {}
-    blocks = []
-    gram_inverses: dict[int, np.ndarray] = {}
-    analysis_rows = []
+    columns = []
     start = 0
     for m in divs:
         cols = shift_basis(m, n).columns
-        phi = cols.shape[1]
-        layout[m] = range(start, start + phi)
-        start += phi
-        blocks.append(cols)
-        gram = (cols.T @ cols).astype(float)
-        sv = np.linalg.svd(gram, compute_uv=False)
-        if sv[-1] <= GRAM_TOL * sv[0]:
-            raise ArithmeticError(f"singular Gram matrix for period {m} at n={n}")
-        gram_inv = np.linalg.inv(gram)
-        gram_inverses[m] = gram_inv
-        analysis_rows.append(gram_inv @ cols.T)
-    basis = np.hstack(blocks)
+        layout[m] = range(start, start + cols.shape[1])
+        start += cols.shape[1]
+        columns.append(cols)
+    basis = np.hstack(columns)
     return TransformPlan(
         n=n,
         divisors=tuple(divs),
         layout=layout,
         basis=basis,
         norm_scales=np.linalg.norm(basis.astype(float), axis=0),
-        gram_inverses=gram_inverses,
-        analysis=np.vstack(analysis_rows),
     )
+
+
+def bin_periods(n: int) -> np.ndarray:
+    """Period n // gcd(k, n) of the subspace holding DFT bin k, k = 0..n-1."""
+    return n // np.gcd(np.arange(n), n)
+
+
+def _check_block(plan: TransformPlan, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (plan.n,):
+        raise ValueError(f"expected length-{plan.n} vector, got shape {x.shape}")
+    return x
 
 
 def forward(plan: TransformPlan, x: np.ndarray) -> CoefficientVector:
     """Analysis: coefficients beta with x = basis @ beta.
 
-    Computed per subspace as (R^T R)^-1 R^T x; identical to the dense inverse
-    action by mutual orthogonality of the subspaces.
+    Each subspace's block solves G beta_m = R^T x, where R holds its shift
+    columns and G = R^T R = N * s_m(i - j) is the leading phi(m) rows of R
+    scaled by N (D_m^2 = m D_m). Distinct subspaces are mutually orthogonal,
+    so the result equals the dense inverse action.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (plan.n,):
-        raise ValueError(f"expected length-{plan.n} vector, got shape {x.shape}")
-    return CoefficientVector(plan_n=plan.n, values=plan.analysis @ x)
+    x = _check_block(plan, x)
+    values = np.empty(plan.n)
+    for rng in plan.layout.values():
+        cols = plan.basis[:, rng.start : rng.stop]
+        gram = plan.n * cols[: len(rng)]
+        values[rng.start : rng.stop] = np.linalg.solve(gram, cols.T @ x)
+    return CoefficientVector(plan_n=plan.n, values=values)
 
 
 def inverse(plan: TransformPlan, beta: CoefficientVector) -> np.ndarray:
@@ -127,32 +134,26 @@ def inverse(plan: TransformPlan, beta: CoefficientVector) -> np.ndarray:
 
 
 def project(plan: TransformPlan, x: np.ndarray, m: int) -> np.ndarray:
-    """Orthogonal projection of x onto the period-m subspace."""
+    """Orthogonal projection of x onto the period-m subspace.
+
+    Keeps the DFT bins of period m and zeroes the rest.
+    """
     if m not in plan.layout:
         raise ValueError(f"{m} is not a divisor of block length {plan.n}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (plan.n,):
-        raise ValueError(f"expected length-{plan.n} vector, got shape {x.shape}")
-    rng = plan.layout[m]
-    cols = plan.basis[:, rng.start : rng.stop]
-    return cols @ (plan.gram_inverses[m] @ (cols.T @ x))
+    spectrum = np.fft.rfft(_check_block(plan, x))
+    spectrum[bin_periods(plan.n)[: len(spectrum)] != m] = 0.0
+    return np.fft.irfft(spectrum, n=plan.n)
 
 
 def energy_spectrum(plan: TransformPlan, x: np.ndarray) -> dict[int, float]:
     """Squared norm of the projection onto each divisor's subspace.
 
-    Values sum to ||x||^2 (orthogonal decomposition).
+    Each is the sum of |X_k|^2 / N over the DFT bins of that period; values
+    sum to ||x||^2 (orthogonal decomposition).
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (plan.n,):
-        raise ValueError(f"expected length-{plan.n} vector, got shape {x.shape}")
-    beta = forward(plan, x).values
-    out: dict[int, float] = {}
-    for m, rng in plan.layout.items():
-        cols = plan.basis[:, rng.start : rng.stop]
-        xm = cols @ beta[rng.start : rng.stop]
-        out[m] = float(xm @ xm)
-    return out
+    power = np.abs(np.fft.fft(_check_block(plan, x))) ** 2 / plan.n
+    sums = np.bincount(bin_periods(plan.n), weights=power, minlength=plan.n + 1)
+    return {m: float(sums[m]) for m in plan.divisors}
 
 
 def space_for_frequency(f0: float, fs: float, n: int) -> FrequencyBinding:

@@ -243,3 +243,45 @@ class TestUsage:
 
     def test_no_subcommand(self):
         assert dispatch([]) == 1
+
+
+class TestZeroBlockSize:
+    def test_notch_denoise(self, tmp_path, capsys):
+        clean = synth_file(tmp_path)
+        code = dispatch(
+            [
+                "denoise",
+                "--method",
+                "notch",
+                "--input",
+                str(clean),
+                "--output",
+                str(tmp_path / "o.csv"),
+                "--block-size",
+                "0",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "usage error: block length must be positive, got 0\n"
+        )
+
+    def test_compare(self, tmp_path, capsys):
+        clean = synth_file(tmp_path)
+        code = dispatch(
+            [
+                "compare",
+                "--clean",
+                str(clean),
+                "--dirty",
+                str(clean),
+                "--block-sizes",
+                "0",
+                "--output",
+                str(tmp_path / "r.csv"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "usage error: block length must be positive, got 0\n"
+        )

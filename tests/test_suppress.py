@@ -160,3 +160,28 @@ class TestRun:
         x = tone(360, f0=50.0) + tone(360, f0=90.0, amplitude=0.5)
         out = run(Signal(samples=x, fs=360.0), cfg)
         assert float(out.samples @ out.samples) <= 1e-12 * float(x @ x)
+
+
+@pytest.mark.parametrize(
+    "n, fs", [(35, 350.0), (45, 450.0), (360, 360.0), (720, 360.0)]
+)
+def test_spectral_path_matches_dense_reference(n, fs):
+    # odd n has no Nyquist bin; n > 180 exercises long blocks
+    plan = build_plan(n)
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=3 * n + n // 3) + tone(3 * n + n // 3, fs=fs)
+    cfg = SuppressionConfig(block_size=n, interference_freqs=(50.0,), fs=fs)
+    mask = make_mask(plan, cfg.target_spaces())
+    padded = np.zeros(4 * n)
+    padded[: len(x)] = x
+    want = np.concatenate(
+        [suppress_block(plan, mask, b) for b in padded.reshape(4, n)]
+    )
+    out = run(Signal(samples=x, fs=fs), cfg).samples
+    assert np.abs(out - want[: len(x)]).max() <= 1e-9
+
+    blk = x[:n]
+    for m, rng_m in plan.layout.items():
+        cols = plan.basis[:, rng_m.start : rng_m.stop].astype(float)
+        dense = cols @ np.linalg.solve(cols.T @ cols, cols.T @ blk)
+        assert np.abs(project(plan, blk, m) - dense).max() <= 1e-9
