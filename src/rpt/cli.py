@@ -140,9 +140,9 @@ def _cmd_spectrum(args) -> int:
     sig = _read_input(args)
     n = args.block_size
     start = args.block_index * n
-    if start + n > len(sig):
+    if args.block_index < 0 or start + n > len(sig):
         raise DataFormatError(
-            f"block {args.block_index} of size {n} exceeds signal length {len(sig)}"
+            f"block {args.block_index} of size {n} is outside the {len(sig)} samples"
         )
     plan = build_plan(n)
     spectrum = energy_spectrum(plan, sig.samples[start : start + n])

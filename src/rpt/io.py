@@ -21,8 +21,8 @@ class Signal:
     fs: float
 
     def __post_init__(self):
-        if self.fs <= 0:
-            raise ValueError(f"sampling rate must be positive, got {self.fs}")
+        if not 0 < self.fs < np.inf:
+            raise ValueError(f"sampling rate {self.fs} must be positive and finite")
         if not np.all(np.isfinite(self.samples)):
             raise DataFormatError("signal contains NaN or Inf samples")
         self.samples.setflags(write=False)
@@ -47,6 +47,8 @@ def blocks(samples: np.ndarray, n: int) -> np.ndarray:
 
 def read_csv(path: str | Path, column: int = 0, fs: float = 360.0) -> Signal:
     """Parse one column of a comma-separated numeric file."""
+    if column < 0:
+        raise ValueError(f"column must be non-negative, got {column}")
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -120,7 +122,7 @@ def add_sinusoid(
     signal: Signal, f0: float, amplitude: float, phase: float = 0.0
 ) -> Signal:
     """Add amplitude * sin(2*pi*f0*n/fs + phase) to every sample."""
-    if f0 >= signal.fs / 2:
+    if not abs(f0) < signal.fs / 2:
         raise ValueError(f"{f0} Hz aliases at fs={signal.fs} Hz")
     if amplitude == 0.0:
         return signal

@@ -50,7 +50,7 @@ def design_notch(f0: float, fs: float, q: float) -> BiquadCoeffs:
     """
     if not 0 < f0 < fs / 2:
         raise ValueError(f"notch frequency {f0} Hz outside (0, {fs / 2}) Hz")
-    if q <= 0:
+    if not q > 0:
         raise ValueError(f"quality factor must be positive, got {q}")
     w0 = 2.0 * math.pi * f0 / fs
     if w0 / (2.0 * q) >= math.pi / 2:

@@ -1,7 +1,7 @@
 """Number-theoretic primitives: Ramanujan sums, circulant matrices, shift bases.
 
-Everything here is integer-exact after construction so that orthogonality
-between periodic subspaces can be tested with exact arithmetic downstream.
+Everything here is integer-exact for every m, so that orthogonality between
+periodic subspaces can be tested with exact arithmetic downstream.
 """
 
 from __future__ import annotations
@@ -11,19 +11,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Rounding residual above this aborts construction (numeric instability).
-ROUND_TOL = 1e-9
 
-
-class PrecisionError(ArithmeticError):
-    """Raised when a quantity that must be integral fails to round cleanly."""
+def _mobius(k: int) -> int:
+    """Moebius function mu(k) by trial division."""
+    mu, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if k > 1 else mu
 
 
 def euler_totient(m: int) -> int:
-    """Count of integers in [1, m] coprime to m."""
+    """Count of integers in [1, m] coprime to m: sum of mu(m/d) * d over d | m."""
     if m < 1:
         raise ValueError(f"totient undefined for m={m}")
-    return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+    return sum(_mobius(m // d) * d for d in divisors(m))
 
 
 def divisors(n: int) -> list[int]:
@@ -59,21 +65,15 @@ class RamanujanSequence:
 def ramanujan_sum(m: int) -> RamanujanSequence:
     """Sum of cos(2*pi*k*n/m) over k in [1, m] coprime to m, as exact integers.
 
-    The sum is real and integer-valued; the float result is rounded and the
-    residual checked against ROUND_TOL.
+    Closed form: s_m(n) = sum of mu(m/d) * d over the divisors d of gcd(n, m).
     """
     if m < 1:
         raise ValueError(f"ramanujan_sum undefined for m={m}")
-    n = np.arange(m)
-    ks = [k for k in range(1, m + 1) if math.gcd(k, m) == 1]
-    raw = np.cos(2.0 * np.pi * np.outer(n, ks) / m).sum(axis=1)
-    rounded = np.rint(raw)
-    residual = np.abs(raw - rounded).max()
-    if residual >= ROUND_TOL:
-        raise PrecisionError(
-            f"rounding residual {residual:.3e} for m={m} exceeds {ROUND_TOL:.0e}"
-        )
-    return RamanujanSequence(m=m, values=rounded.astype(np.int64))
+    g = np.gcd(np.arange(m), m)
+    values = np.zeros(m, dtype=np.int64)
+    for d in divisors(m):
+        values[g % d == 0] += _mobius(m // d) * d
+    return RamanujanSequence(m=m, values=values)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@ periodic subspaces block by block and reconstruct."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,16 +60,11 @@ class SuppressionConfig:
             ) from exc
 
 
-def admissible_hint(f0: float, fs: float, count: int = 5) -> list[int]:
-    """Smallest block sizes at which f0 falls on an integer bin."""
-    sizes = []
-    for n in range(1, 100000):
-        raw = f0 * n / fs
-        if abs(raw - round(raw)) < 1e-9 and round(raw) >= 1:
-            sizes.append(n)
-            if len(sizes) == count:
-                break
-    return sizes
+def admissible_hint(f0: float, fs: float) -> list[int]:
+    """The five smallest block sizes at which f0 falls on an integer bin: the
+    multiples of the reduced denominator of f0/fs."""
+    step = (Fraction(str(f0)) / Fraction(str(fs))).denominator
+    return [step * k for k in range(1, 6)]
 
 
 def make_mask(plan: TransformPlan, targets: set[int] | frozenset[int]) -> WindowMask:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -159,17 +160,17 @@ def energy_spectrum(plan: TransformPlan, x: np.ndarray) -> dict[int, float]:
 def space_for_frequency(f0: float, fs: float, n: int) -> FrequencyBinding:
     """Map a sinusoid frequency to its periodic subspace within a block.
 
-    The frequency must land on an integer bin k0 = f0*n/fs; the owning
-    subspace has period n / gcd(k0, n).
+    The frequency must land on an integer bin k0 = f0*n/fs, exactly for the
+    decimal values of f0 and fs; the owning subspace has period n / gcd(k0, n).
     """
-    if fs <= 0:
-        raise ValueError(f"sampling rate must be positive, got {fs}")
-    if f0 < 0 or (f0 != 0 and f0 >= fs / 2):
+    if n < 1:
+        raise ValueError(f"block length must be positive, got {n}")
+    if not 0 < fs < math.inf:
+        raise ValueError(f"sampling rate {fs} must be positive and finite")
+    if not 0 <= f0 < fs / 2:
         raise ValueError(f"frequency {f0} Hz outside [0, fs/2) for fs={fs}")
-    if f0 == 0:
-        return FrequencyBinding(f0=f0, fs=fs, n=n, bin=0, space=1)
-    raw = f0 * n / fs
-    k0 = round(raw)
-    if abs(raw - k0) >= 1e-9 or k0 == 0:
+    ratio = Fraction(str(f0)) * n / Fraction(str(fs))
+    if ratio.denominator != 1:
         raise FrequencyNotRepresentable(f0, fs, n)
+    k0 = ratio.numerator
     return FrequencyBinding(f0=f0, fs=fs, n=n, bin=k0, space=n // math.gcd(k0, n))

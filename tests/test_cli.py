@@ -93,6 +93,24 @@ class TestSpectrum:
         )
         assert code == 2
 
+    def test_negative_block_index(self, tmp_path, capsys):
+        clean = synth_file(tmp_path)
+        code = dispatch(
+            [
+                "spectrum",
+                "--input",
+                str(clean),
+                "--block-size",
+                "36",
+                "--block-index",
+                "-1",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: block -1 of size 36 is outside the 3600 samples\n"
+        )
+
 
 class TestDenoise:
     def test_rpt_removes_tone(self, tmp_path):
@@ -285,3 +303,60 @@ class TestZeroBlockSize:
         assert capsys.readouterr().err == (
             "usage error: block length must be positive, got 0\n"
         )
+
+    def test_rpt_denoise(self, tmp_path, capsys):
+        clean = synth_file(tmp_path)
+        code = dispatch(
+            [
+                "denoise",
+                "--method",
+                "rpt",
+                "--input",
+                str(clean),
+                "--output",
+                str(tmp_path / "o.csv"),
+                "--block-size",
+                "0",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "usage error: block length must be positive, got 0\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "method, flag, value, message",
+    [
+        ("rpt", "--f0", "nan", "frequency nan Hz outside"),
+        ("notch", "--f0", "nan", "notch frequency nan Hz outside"),
+        ("notch", "--q", "nan", "quality factor must be positive, got nan"),
+        ("rpt", "--fs", "nan", "sampling rate nan must be positive and finite"),
+        ("notch", "--fs", "nan", "sampling rate nan must be positive and finite"),
+        ("notch", "--fs", "inf", "sampling rate inf must be positive and finite"),
+        ("rpt", "--column", "-5", "column must be non-negative, got -5"),
+    ],
+)
+def test_bad_flag_value_is_usage_error(
+    tmp_path, capsys, method, flag, value, message
+):
+    clean = synth_file(tmp_path)
+    capsys.readouterr()
+    code = dispatch(
+        [
+            "denoise",
+            "--method",
+            method,
+            "--input",
+            str(clean),
+            "--output",
+            str(tmp_path / "o.csv"),
+            "--block-size",
+            "36",
+            flag,
+            value,
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: " + message) and err.count("\n") == 1

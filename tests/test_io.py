@@ -41,6 +41,13 @@ class TestCsv:
         with pytest.raises(DataFormatError):
             read_csv(p, column=3)
 
+    @pytest.mark.parametrize("column", [-1, -5])
+    def test_rejects_negative_column(self, tmp_path, column):
+        p = tmp_path / "d.csv"
+        p.write_text("1.0,2.0\n")
+        with pytest.raises(ValueError, match="column must be non-negative"):
+            read_csv(p, column=column)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "e.csv"
         p.write_text("")
@@ -165,6 +172,9 @@ class TestAddSinusoid:
         sig = Signal(samples=np.zeros(10), fs=360.0)
         with pytest.raises(ValueError):
             add_sinusoid(sig, 180.0, 1.0)
+        for f0 in (-180.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="aliases"):
+                add_sinusoid(sig, f0, 1.0)
 
 
 class TestSynthEcg:

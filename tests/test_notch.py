@@ -40,6 +40,8 @@ class TestDesign:
             design_notch(180.0, 360.0, 1.0)
         with pytest.raises(ValueError):
             design_notch(50.0, 360.0, 0.0)
+        with pytest.raises(ValueError, match="quality factor"):
+            design_notch(50.0, 360.0, float("nan"))
 
 
 class TestFilterBlock:

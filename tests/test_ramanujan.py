@@ -98,6 +98,15 @@ class TestRamanujanSum:
         for m in range(2, 65):
             assert ramanujan_sum(m).values.sum() == 0
 
+    @pytest.mark.parametrize("m", [8000, 10007, 12000])
+    def test_large_m_exact(self, m):
+        values = ramanujan_sum(m).values
+        assert values[0] == totient_oracle(m)
+        assert values.sum() == 0
+        ks = np.array([k for k in range(1, m + 1) if math.gcd(k, m) == 1])
+        for n in (1, 2, 25, 100, m // 2, m - 1):
+            assert values[n] == round(np.cos(2 * np.pi * ks * n / m).sum())
+
     @given(st.integers(min_value=1, max_value=64), st.integers(-200, 200))
     def test_periodic_extension(self, m, n):
         seq = ramanujan_sum(m)

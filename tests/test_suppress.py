@@ -151,6 +151,7 @@ class TestRun:
 
     def test_admissible_hint(self):
         assert admissible_hint(50.0, 360.0) == [36, 72, 108, 144, 180]
+        assert admissible_hint(0.1, 360.0) == [3600, 7200, 10800, 14400, 18000]
 
     def test_multiple_frequencies(self):
         # 50 Hz and 10 Hz both live in period-36 subspaces at n=36

@@ -204,6 +204,31 @@ class TestSpaceForFrequency:
     def test_not_representable(self):
         with pytest.raises(FrequencyNotRepresentable):
             space_for_frequency(50, 360, 35)
+        with pytest.raises(FrequencyNotRepresentable):
+            space_for_frequency(50.0000000001, 360, 36)
+
+    def test_decimal_binds_as_typed(self):
+        b = space_for_frequency(0.1, 360.0, 3600)
+        assert (b.bin, b.space) == (1, 3600)
+        with pytest.raises(FrequencyNotRepresentable):
+            space_for_frequency(0.1, 360.0, 1800)
+
+    @pytest.mark.parametrize(
+        "f0, fs, n, message",
+        [
+            (50.0, 360.0, 0, "block length must be positive"),
+            (50.0, 360.0, -36, "block length must be positive"),
+            (float("nan"), 360.0, 36, "frequency nan Hz"),
+            (float("inf"), 360.0, 36, "frequency inf Hz"),
+            (-10.0, 360.0, 36, "frequency -10.0 Hz"),
+            (50.0, float("nan"), 36, "sampling rate"),
+            (50.0, float("inf"), 36, "sampling rate"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, f0, fs, n, message):
+        with pytest.raises(ValueError, match=message) as info:
+            space_for_frequency(f0, fs, n)
+        assert not isinstance(info.value, FrequencyNotRepresentable)
 
     def test_rejects_above_nyquist(self):
         with pytest.raises(ValueError):
