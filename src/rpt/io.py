@@ -3,6 +3,7 @@ ECG fixture, and sinusoidal contamination."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,29 +47,49 @@ def blocks(samples: np.ndarray, n: int) -> np.ndarray:
 
 
 def read_csv(path: str | Path, column: int = 0, fs: float = 360.0) -> Signal:
-    """Parse one column of a comma-separated numeric file."""
+    """Parse one column of a comma-separated numeric file.
+
+    np.loadtxt parses the file in one pass. A file it rejects or finds empty
+    is parsed again line by line: that parse accepts what float() accepts and
+    names the line of the first error.
+    """
     if column < 0:
         raise ValueError(f"column must be non-negative, got {column}")
-    values = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if column >= len(fields):
-                raise DataFormatError(
-                    f"{path}:{lineno}: column {column} missing ({len(fields)} fields)"
+        try:
+            with warnings.catch_warnings():
+                # loadtxt warns, rather than raises, on a file with no rows
+                warnings.simplefilter("error", UserWarning)
+                values = np.loadtxt(
+                    fh, delimiter=",", usecols=column, comments=None, ndmin=1
                 )
-            try:
-                values.append(float(fields[column]))
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}:{lineno}: cannot parse {fields[column]!r} as a number"
-                ) from None
+        except (ValueError, IndexError, OverflowError, UserWarning):
+            fh.seek(0)
+            values = _parse_lines(fh, path, column)
+    return Signal(samples=values, fs=fs)
+
+
+def _parse_lines(lines, path: str | Path, column: int) -> np.ndarray:
+    """Parse line by line; errors name the path and line number."""
+    values = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if column >= len(fields):
+            raise DataFormatError(
+                f"{path}:{lineno}: column {column} missing ({len(fields)} fields)"
+            )
+        try:
+            values.append(float(fields[column]))
+        except ValueError:
+            raise DataFormatError(
+                f"{path}:{lineno}: cannot parse {fields[column]!r} as a number"
+            ) from None
     if not values:
         raise DataFormatError(f"{path}: no samples found")
-    return Signal(samples=np.array(values), fs=fs)
+    return np.array(values)
 
 
 def write_csv(signal: Signal, path: str | Path) -> None:
@@ -76,8 +97,7 @@ def write_csv(signal: Signal, path: str | Path) -> None:
     if len(signal) == 0:
         raise ValueError("refusing to write an empty signal")
     with open(path, "w", encoding="utf-8") as fh:
-        for v in signal.samples:
-            fh.write(f"{v:.17g}\n")
+        fh.write(("%.17g\n" * len(signal)) % tuple(signal.samples.tolist()))
 
 
 def read_wfdb_212(
@@ -97,6 +117,10 @@ def read_wfdb_212(
         raise ValueError(f"channels must be 1 or 2, got {channels}")
     if not 0 <= select < channels:
         raise ValueError(f"channel index {select} out of range for {channels} channels")
+    if not (np.isfinite(gain) and gain != 0):
+        raise ValueError(f"gain must be finite and non-zero, got {gain}")
+    if not abs(baseline) < 2**53:
+        raise ValueError(f"baseline {baseline} outside (-2**53, 2**53)")
     raw = np.frombuffer(Path(path).read_bytes(), dtype=np.uint8)
     if len(raw) == 0:
         raise DataFormatError(f"{path}: empty file")
@@ -115,7 +139,9 @@ def read_wfdb_212(
         samples[1::2] = s2
     else:
         samples = s1 if select == 0 else s2
-    return Signal(samples=(samples - baseline) / gain, fs=fs)
+    with np.errstate(over="ignore"):  # a tiny gain overflows; Signal rejects inf
+        physical = (samples - baseline) / gain
+    return Signal(samples=physical, fs=fs)
 
 
 def add_sinusoid(
@@ -124,11 +150,20 @@ def add_sinusoid(
     """Add amplitude * sin(2*pi*f0*n/fs + phase) to every sample."""
     if not abs(f0) < signal.fs / 2:
         raise ValueError(f"{f0} Hz aliases at fs={signal.fs} Hz")
+    if not np.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
+    if not np.isfinite(phase):
+        raise ValueError(f"phase must be finite, got {phase}")
     if amplitude == 0.0:
         return signal
     n = np.arange(len(signal))
-    tone = amplitude * np.sin(2.0 * np.pi * f0 * n / signal.fs + phase)
-    return Signal(samples=signal.samples + tone, fs=signal.fs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tone = amplitude * np.sin(2.0 * np.pi * f0 * n / signal.fs + phase)
+        if not np.all(np.isfinite(tone)):
+            raise ValueError(f"tone at f0={f0} Hz, fs={signal.fs} Hz is not finite")
+        # a sum past the float range is left to Signal's non-finite check
+        samples = signal.samples + tone
+    return Signal(samples=samples, fs=signal.fs)
 
 
 # Per-beat Gaussian bumps: (center, amplitude, width), center and width as

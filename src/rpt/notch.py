@@ -1,5 +1,12 @@
 """Second-order IIR notch baseline: constant-skirt-gain biquad design and
-block-wise filtering with per-block state reset."""
+block-wise filtering with per-block state reset.
+
+With the state reset at each block, the notch is a linear operator per block:
+a causal convolution with the biquad's impulse response cut to the block
+length. It is applied to sub-blocks of at most SUB_BLOCK samples as one
+matrix product with a lower-triangular Toeplitz matrix; the biquad's two-value
+state then carries the response from each sub-block into the next.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +14,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .io import blocks
+
+# Longest sub-block applied as one Toeplitz product. Longer blocks take one
+# vectorized state carry per extra sub-block; 72 covers the paper's block sizes
+# 36 and 72 with none.
+SUB_BLOCK = 72
 
 
 @dataclass(frozen=True)
@@ -70,9 +81,29 @@ def design_notch(f0: float, fs: float, q: float) -> BiquadCoeffs:
     )
 
 
+def _impulse_response(b, a1: float, a2: float, length: int) -> np.ndarray:
+    """First `length` output samples of the recursion
+    y[n] = b0 x[n] + b1 x[n-1] + b2 x[n-2] - a1 y[n-1] - a2 y[n-2]
+    driven by a unit impulse, run in transposed direct form II.
+
+    The recursion, not a closed-form damped cosine: at low Q the poles are
+    real and that form divides 0 by 0.
+    """
+    out = np.empty(length)
+    x, z1, z2 = 1.0, 0.0, 0.0
+    for i in range(length):
+        y = b[0] * x + z1
+        z1 = b[1] * x - a1 * y + z2
+        z2 = b[2] * x - a2 * y
+        out[i] = y
+        x = 0.0
+    return out
+
+
 def filter_block(coeffs: BiquadCoeffs, x: np.ndarray) -> np.ndarray:
     """Direct-form difference equation with zero initial state."""
-    return lfilter(coeffs.b, coeffs.a, np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    return filter_blocked(coeffs, x, max(len(x), 1))  # empty x: no blocks
 
 
 def filter_blocked(coeffs: BiquadCoeffs, x: np.ndarray, block_size: int) -> np.ndarray:
@@ -81,5 +112,31 @@ def filter_blocked(coeffs: BiquadCoeffs, x: np.ndarray, block_size: int) -> np.n
     The final partial block is zero-padded, filtered, and trimmed, matching
     the subspace-suppression blocking.
     """
-    out = lfilter(coeffs.b, coeffs.a, blocks(x, block_size), axis=1)
-    return out.reshape(-1)[: len(x)].copy()
+    padded = blocks(x, block_size)
+    s = min(block_size, SUB_BLOCK)
+    k = -(-block_size // s)
+    if k * s != block_size:
+        # causal, so zeros after a block's end leave its outputs unchanged
+        padded = np.pad(padded, ((0, 0), (0, k * s - block_size)))
+    lag = np.arange(s) - np.arange(s)[:, None]
+    h = _impulse_response(coeffs.b, coeffs.a1, coeffs.a2, s)
+    # zero-state response of every sub-block: row @ op, op[j, i] = h[i - j]
+    y = (padded.reshape(-1, s) @ np.where(lag >= 0, h[lag], 0.0)).reshape(-1, k, s)
+    if k > 1:
+        # Sub-block j starts in the state (z1, z2) that sub-block j - 1 ends in.
+        # Its zero-input response is z1 g[n + 1] + z2 g[n], with g the impulse
+        # response of z^-1 / A(z) (so g[0] = 0).
+        b1, b2, a1, a2 = coeffs.b1, coeffs.b2, coeffs.a1, coeffs.a2
+        g = _impulse_response((0.0, 1.0, 0.0), a1, a2, s + 1)
+        carry = np.stack((g[1:], g[:-1]))
+        # The state a sub-block ends in, from its last two inputs x0, x1 and
+        # outputs y0, y1: z1 = b2 x0 + b1 x1 - a2 y0 - a1 y1, z2 = b2 x1 - a2 y1.
+        x_map = np.array([[b2, 0.0], [b1, b2]])
+        y_map = np.array([[-a2, 0.0], [-a1, -a2]])
+        x_part = padded.reshape(-1, k, s)[:, :, -2:] @ x_map
+        for j in range(1, k):
+            y[:, j] += (x_part[:, j - 1] + y[:, j - 1, -2:] @ y_map) @ carry
+    # drop the input before the copies so at most two record-sized arrays live
+    del padded
+    y = y.reshape(-1, k * s)[:, :block_size].reshape(-1)
+    return y[: len(x)].copy()

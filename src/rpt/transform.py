@@ -75,7 +75,10 @@ def build_plan(n: int) -> TransformPlan:
     """Integer shift basis, coefficient layout, and column norms for length n.
 
     No inverse is stored: the period-m Gram matrix has the closed form
-    N * s_m(i - j), i, j < phi(m), which forward() reads off the basis.
+    N * s_m(i - j), i, j < phi(m), which forward() reads off the basis. Its
+    diagonal gives the column norms: a period-m column holds N/m periods of
+    s_m, and the sum of s_m(n)^2 over one period is m * phi(m), so each of
+    the phi(m) columns has norm sqrt(N * phi(m)).
     """
     if n < 1:
         raise ValueError(f"block length must be positive, got {n}")
@@ -89,12 +92,13 @@ def build_plan(n: int) -> TransformPlan:
         start += cols.shape[1]
         columns.append(cols)
     basis = np.hstack(columns)
+    phis = np.array([len(rng) for rng in layout.values()])
     return TransformPlan(
         n=n,
         divisors=tuple(divs),
         layout=layout,
         basis=basis,
-        norm_scales=np.linalg.norm(basis.astype(float), axis=0),
+        norm_scales=np.repeat(np.sqrt(n * phis), phis),
     )
 
 

@@ -1,10 +1,16 @@
 """End-to-end CLI behaviour and exit codes."""
 
 import csv
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rpt
 from rpt.cli import dispatch
 from rpt.io import read_csv, write_csv, Signal
 
@@ -360,3 +366,55 @@ def test_bad_flag_value_is_usage_error(
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: " + message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "fmt, flags, code, message",
+    [
+        (
+            "csv",
+            ["--f0", "8e307", "--fs", "1.7e308"],
+            1,
+            "usage error: tone at f0=8e+307 Hz, fs=1.7e+308 Hz is not finite",
+        ),
+        ("csv", ["--amplitude", "nan"], 1, "usage error: amplitude must be finite"),
+        ("csv", ["--amplitude=-inf"], 1, "usage error: amplitude must be finite"),
+        ("csv", ["--phase", "inf"], 1, "usage error: phase must be finite, got inf"),
+        ("wfdb212", ["--gain", "0"], 1, "usage error: gain must be finite and non-"),
+        ("wfdb212", ["--gain", "nan"], 1, "usage error: gain must be finite"),
+        ("wfdb212", ["--gain=-inf"], 1, "usage error: gain must be finite"),
+        ("wfdb212", ["--gain", "1e-320"], 2, "data error: signal contains NaN or Inf"),
+        ("wfdb212", ["--baseline", str(10**20)], 1, "usage error: baseline 10"),
+    ],
+)
+def test_contaminate_bad_value_is_one_line(tmp_path, capsys, fmt, flags, code, message):
+    """Non-finite or overflowing values end in one line, with no numpy warning."""
+    if fmt == "csv":
+        path = synth_file(tmp_path, duration="2")
+    else:
+        path = tmp_path / "r.dat"
+        path.write_bytes(bytes(range(30)))
+    capsys.readouterr()
+    argv = ["contaminate", "--input", str(path), "--format", fmt]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = dispatch([*argv, "--output", str(tmp_path / "o.csv"), *flags])
+    err = capsys.readouterr().err
+    assert got == code
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(rpt.__file__).parents[1])
+    code = (
+        "import sys, rpt, rpt.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.stdout == "[]\n"

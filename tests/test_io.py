@@ -1,7 +1,10 @@
 """Readers, writers, contamination, and the synthetic ECG fixture."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rpt.io import (
     DataFormatError,
@@ -68,6 +71,29 @@ class TestCsv:
         back = read_csv(p)
         assert np.array_equal(back.samples, x)
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "\r\n"])
+    def test_no_rows_raise_without_warning(self, tmp_path, text):
+        p = tmp_path / "e.csv"
+        p.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataFormatError, match="no samples found"):
+                read_csv(p)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308],
+            [1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, 1e-5],
+            np.random.default_rng(21).normal(scale=1e3, size=1000).tolist(),
+        ],
+    )
+    def test_write_matches_per_sample_format(self, tmp_path, values):
+        p = tmp_path / "w.csv"
+        write_csv(Signal(samples=np.array(values), fs=360.0), p)
+        want = "".join(f"{v:.17g}\n" for v in np.array(values))
+        assert p.read_bytes() == want.encode("utf-8")
+
     def test_refuses_empty_write(self, tmp_path):
         sig = Signal(samples=np.zeros(1), fs=360.0)
         write_csv(sig, tmp_path / "ok.csv")
@@ -75,6 +101,77 @@ class TestCsv:
             write_csv(
                 Signal(samples=np.zeros(0), fs=360.0), tmp_path / "nope.csv"
             )
+
+
+def _read_csv_by_lines(path, column, fs=360.0):
+    """The line-by-line parser read_csv falls back to, as the reference."""
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            fields = line.split(",")
+            if column >= len(fields):
+                raise DataFormatError(
+                    f"{path}:{lineno}: column {column} missing ({len(fields)} fields)"
+                )
+            try:
+                values.append(float(fields[column]))
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}:{lineno}: cannot parse {fields[column]!r} as a number"
+                ) from None
+    if not values:
+        raise DataFormatError(f"{path}: no samples found")
+    return Signal(samples=np.array(values), fs=fs)
+
+
+FIELD_TOKENS = [*"0123456789+-.eE_ \t", "\ufeff", "nan", "inf", "\u0661", "1.5", "-0"]
+FIELD_TOKENS += ["1e308", "9e999"]
+CSV_TOKENS = [*FIELD_TOKENS, ",", "\n", "\r", "\r\n", "  \n"]
+
+
+def _outcome(read, path, column):
+    try:
+        return read(path, column=column).samples.tobytes()
+    except (DataFormatError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# Token soup, mostly malformed, and rows of numbers loadtxt parses as well.
+token_soup = st.lists(st.sampled_from(CSV_TOKENS), max_size=40).map("".join)
+csv_field = st.one_of(
+    st.floats().map(repr),
+    st.floats().map(lambda v: f" {v:.6e} "),
+    st.lists(st.sampled_from(FIELD_TOKENS), max_size=4).map("".join),
+)
+csv_rows = st.builds(
+    lambda rows, newline: "".join(row + newline for row in rows),
+    st.lists(st.lists(csv_field, min_size=1, max_size=3).map(",".join), max_size=8),
+    st.sampled_from(["\n", "\r\n", "\r"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(token_soup, csv_rows), column=st.integers(0, 2))
+@example(text="1_0\n", column=0)
+@example(text="\u0661\n", column=0)
+@example(text="1\n \n2\n", column=0)
+@example(text="\ufeff1\n", column=0)
+@example(text="1,2\n3\n", column=1)
+@example(text="1,2\r\n3,4\r\n", column=1)
+def test_read_csv_matches_line_parser(tmp_path_factory, text, column):
+    p = tmp_path_factory.mktemp("csv") / "x.csv"
+    p.write_bytes(text.encode("utf-8"))
+    assert _outcome(read_csv, p, column) == _outcome(_read_csv_by_lines, p, column)
+
+
+def test_read_csv_huge_column_names_line(tmp_path):
+    p = tmp_path / "x.csv"
+    p.write_text("1,2\n")
+    with pytest.raises(DataFormatError, match=f"x.csv:1: column {2**70} missing"):
+        read_csv(p, column=2**70)
 
 
 def pack_frames(samples1, samples2):

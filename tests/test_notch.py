@@ -1,5 +1,7 @@
 """Biquad notch design and block-wise filtering."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,59 @@ class TestFilterBlocked:
         assert len(out) == 50
         tail = filter_block(coeffs, np.concatenate([x[36:], np.zeros(22)]))
         assert np.abs(out[36:] - tail[:14]).max() < 1e-12
+
+
+QS = (0.1, 0.5, 1.0, 10.0, 100.0, 1000.0)
+F0S = (1.0, 50.0, 179.0)
+ORACLE_RECORD = np.random.default_rng(16).normal(size=3000)
+
+
+def _designs():
+    for q in QS:
+        for f0 in F0S:
+            try:
+                yield design_notch(f0, 360.0, q)
+            except ValueError:  # bandwidth too wide for this f0
+                continue
+
+
+class TestAgainstLfilter:
+    """scipy's lfilter, run on each zero-padded block, is the oracle."""
+
+    @pytest.mark.parametrize(
+        "block_size", [1, 2, 3, 36, 71, 72, 73, 1440, len(ORACLE_RECORD)]
+    )
+    @pytest.mark.parametrize("c", list(_designs()), ids=lambda c: f"{c.f0}Hz-Q{c.q}")
+    def test_filter_blocked(self, c, block_size):
+        lfilter = pytest.importorskip("scipy.signal").lfilter
+        x = ORACLE_RECORD
+        padded = np.zeros(-(-len(x) // block_size) * block_size)
+        padded[: len(x)] = x
+        want = lfilter(c.b, c.a, padded.reshape(-1, block_size), axis=1)
+        want = want.reshape(-1)[: len(x)]
+        got = filter_blocked(c, x, block_size)
+        assert got.shape == x.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("c", list(_designs()), ids=lambda c: f"{c.f0}Hz-Q{c.q}")
+    def test_filter_block(self, c):
+        lfilter = pytest.importorskip("scipy.signal").lfilter
+        x = ORACLE_RECORD
+        got = filter_block(c, x)
+        assert np.abs(got - lfilter(c.b, c.a, x)).max() <= 1e-12 * np.linalg.norm(x)
+
+    def test_empty_block(self, coeffs):
+        assert filter_block(coeffs, np.zeros(0)).shape == (0,)
+        assert filter_blocked(coeffs, np.zeros(0), 36).shape == (0,)
+
+
+def test_peak_memory_two_records(coeffs):
+    """Input blocks and output, as with lfilter; no third record-sized array."""
+    x = np.random.default_rng(17).normal(size=524_288)
+    tracemalloc.start()
+    try:
+        filter_blocked(coeffs, x, 36)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * x.nbytes

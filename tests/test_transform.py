@@ -46,6 +46,13 @@ class TestBuildPlan:
         that = plan4.basis / plan4.norm_scales
         assert np.abs(that.T @ that - np.eye(4)).max() < 1e-9
 
+    def test_norm_scales_closed_form(self):
+        # sqrt(N * phi(m)) equals the numeric column norm bit for bit
+        for n in [*range(1, 401), 1440]:
+            plan = build_plan(n)
+            numeric = np.linalg.norm(plan.basis.astype(float), axis=0)
+            assert np.array_equal(plan.norm_scales, numeric), n
+
     def test_n1(self):
         plan = build_plan(1)
         assert plan.divisors == (1,)
