@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -168,10 +169,10 @@ def _cmd_denoise(args) -> int:
         )
     write_csv(cleaned, args.output)
     if args.plot_csv:
+        rows = zip(range(len(sig)), sig.samples.tolist(), cleaned.samples.tolist())
         with open(args.plot_csv, "w", encoding="utf-8") as fh:
             fh.write("index,original,cleaned\n")
-            for i, (o, c) in enumerate(zip(sig.samples, cleaned.samples)):
-                fh.write(f"{i},{o:.17g},{c:.17g}\n")
+            fh.write(("%d,%.17g,%.17g\n" * len(sig)) % tuple(chain.from_iterable(rows)))
     return EXIT_OK
 
 

@@ -184,8 +184,10 @@ def synth_ecg(duration: float, fs: float, heart_rate: float) -> Signal:
 
     Fully seedless; serves as the offline stand-in for a database record.
     """
-    if duration <= 0:
-        raise ValueError(f"duration must be positive, got {duration}")
+    if not 0 < duration < np.inf:
+        raise ValueError(f"duration {duration} s must be positive and finite")
+    if not 0 < fs < np.inf:
+        raise ValueError(f"sampling rate {fs} must be positive and finite")
     if not 20 <= heart_rate <= 240:
         raise ValueError(f"heart rate {heart_rate} bpm outside [20, 240]")
     n_samples = int(round(duration * fs))

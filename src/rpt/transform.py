@@ -17,22 +17,30 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ramanujan import divisors, shift_basis
+from .ramanujan import divisors, euler_totient, shift_basis
 
 
 @dataclass(frozen=True)
 class TransformPlan:
-    """All per-N precomputation, immutable and shareable across workers."""
+    """Closed-form layout of the length-n transform: O(n) memory, immutable.
+
+    `basis` is assembled from the shift bases on access, for the coefficient view.
+    """
 
     n: int
     divisors: tuple[int, ...]
     layout: dict[int, range]  # divisor -> coefficient index range
-    basis: np.ndarray  # int64, n x n, columns grouped by ascending divisor
     norm_scales: np.ndarray  # Euclidean norm of each column
 
     def __post_init__(self):
-        for a in (self.basis, self.norm_scales):
-            a.setflags(write=False)
+        self.norm_scales.setflags(write=False)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """int64, n x n, columns grouped by ascending divisor (read-only)."""
+        basis = np.hstack([shift_basis(m, self.n).columns for m in self.divisors])
+        basis.setflags(write=False)
+        return basis
 
 
 @dataclass(frozen=True)
@@ -72,34 +80,22 @@ class FrequencyNotRepresentable(ValueError):
 
 
 def build_plan(n: int) -> TransformPlan:
-    """Integer shift basis, coefficient layout, and column norms for length n.
+    """Divisors, coefficient layout (phi(m) per divisor m) and column norms.
 
     No inverse is stored: the period-m Gram matrix has the closed form
-    N * s_m(i - j), i, j < phi(m), which forward() reads off the basis. Its
-    diagonal gives the column norms: a period-m column holds N/m periods of
-    s_m, and the sum of s_m(n)^2 over one period is m * phi(m), so each of
+    N * s_m(i - j), i, j < phi(m), which forward() reads off the shift basis.
+    Its diagonal gives the column norms: a period-m column holds N/m periods
+    of s_m, and the sum of s_m(n)^2 over one period is m * phi(m), so each of
     the phi(m) columns has norm sqrt(N * phi(m)).
     """
     if n < 1:
         raise ValueError(f"block length must be positive, got {n}")
-    divs = divisors(n)
-    layout: dict[int, range] = {}
-    columns = []
-    start = 0
-    for m in divs:
-        cols = shift_basis(m, n).columns
-        layout[m] = range(start, start + cols.shape[1])
-        start += cols.shape[1]
-        columns.append(cols)
-    basis = np.hstack(columns)
-    phis = np.array([len(rng) for rng in layout.values()])
-    return TransformPlan(
-        n=n,
-        divisors=tuple(divs),
-        layout=layout,
-        basis=basis,
-        norm_scales=np.repeat(np.sqrt(n * phis), phis),
-    )
+    divs = tuple(divisors(n))
+    phis = [euler_totient(m) for m in divs]
+    starts = np.cumsum([0, *phis]).tolist()
+    layout = {m: range(a, a + phi) for m, a, phi in zip(divs, starts, phis)}
+    norms = np.sqrt(n * np.array(phis))
+    return TransformPlan(n, divs, layout, norm_scales=np.repeat(norms, phis))
 
 
 def bin_periods(n: int) -> np.ndarray:
@@ -124,8 +120,8 @@ def forward(plan: TransformPlan, x: np.ndarray) -> CoefficientVector:
     """
     x = _check_block(plan, x)
     values = np.empty(plan.n)
-    for rng in plan.layout.values():
-        cols = plan.basis[:, rng.start : rng.stop]
+    for m, rng in plan.layout.items():
+        cols = shift_basis(m, plan.n).columns
         gram = plan.n * cols[: len(rng)]
         values[rng.start : rng.stop] = np.linalg.solve(gram, cols.T @ x)
     return CoefficientVector(plan_n=plan.n, values=values)

@@ -206,6 +206,36 @@ class TestDenoise:
         assert len(rows) == 3600
         assert set(rows[0]) == {"index", "original", "cleaned"}
 
+    def test_plot_csv_bytes(self, tmp_path):
+        # -0.0, subnormals and +-1e308 survive a block size 1 notch (y = b0 x)
+        samples = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1, -7.0]
+        dirty = tmp_path / "dirty.csv"
+        write_csv(Signal(samples=np.array(samples), fs=360.0), dirty)
+        out, plot = tmp_path / "o.csv", tmp_path / "plot.csv"
+        code = dispatch(
+            [
+                "denoise",
+                "--method",
+                "notch",
+                "--input",
+                str(dirty),
+                "--output",
+                str(out),
+                "--block-size",
+                "1",
+                "--plot-csv",
+                str(plot),
+            ]
+        )
+        assert code == 0
+        original, cleaned = read_csv(dirty).samples, read_csv(out).samples
+        assert np.signbit(original[1]) and cleaned[4] > 1e307
+        rows = zip(original, cleaned)
+        want = "index,original,cleaned\n" + "".join(
+            f"{i},{o:.17g},{c:.17g}\n" for i, (o, c) in enumerate(rows)
+        )
+        assert plot.read_bytes() == want.encode()
+
 
 class TestCompare:
     def test_full_grid(self, tmp_path, capsys):
@@ -402,6 +432,21 @@ def test_contaminate_bad_value_is_one_line(tmp_path, capsys, fmt, flags, code, m
     err = capsys.readouterr().err
     assert got == code
     assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--duration", "inf", "duration inf s must be positive and finite"),
+        ("--duration", "nan", "duration nan s must be positive and finite"),
+        ("--fs", "inf", "sampling rate inf must be positive and finite"),
+        ("--fs", "nan", "sampling rate nan must be positive and finite"),
+    ],
+)
+def test_synth_non_finite_names_the_flag(tmp_path, capsys, flag, value, message):
+    code = dispatch(["synth", "--output", str(tmp_path / "x.csv"), flag, value])
+    assert code == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def test_import_leaves_scipy_out():

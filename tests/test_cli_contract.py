@@ -20,6 +20,9 @@ sizes = st.integers(-4 * LENGTH, 4 * LENGTH)
 reals = st.one_of(
     st.sampled_from([0.0, 0.1, 50.0, 60.0, 180.0, 250.0, 360.0]), st.floats()
 )
+# bounded, so that no drawn synth record holds more than a few thousand samples
+durations = st.one_of(st.sampled_from([1.0, 2.0]), st.floats(max_value=2.0))
+rates = st.one_of(st.sampled_from([250.0, 360.0]), st.floats(max_value=1000.0))
 block_sizes = st.one_of(
     st.lists(sizes, max_size=3).map(lambda ns: ",".join(map(str, ns))),
     st.sampled_from(["36,oops", ",", " 36"]),
@@ -66,6 +69,10 @@ commands = st.one_of(
         inputs,
         flags(f0=reals, **common),
     ),
+    st.tuples(
+        st.just(["synth", "--output", "OUT"]),
+        flags(duration=durations, fs=rates, **{"heart-rate": reals}),
+    ),
 ).map(lambda parts: [a for part in parts for a in part])
 
 
@@ -95,6 +102,10 @@ def paths(tmp_path_factory):
 @example(argv=[*DENOISE, "--block-size=0"])
 @example(argv=[*DENOISE, "--block-size=36", "--f0=nan"])
 @example(argv=["spectrum", "--input", "CLEAN", "--block-size=36", "--block-index=-1"])
+@example(argv=["synth", "--output", "OUT", "--fs=inf"])
+@example(argv=["synth", "--output", "OUT", "--fs=nan"])
+@example(argv=["synth", "--output", "OUT", "--duration=inf"])
+@example(argv=["synth", "--output", "OUT", "--duration=nan"])
 def test_exit_code_and_one_line(paths, argv):
     argv = [paths.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()

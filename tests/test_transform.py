@@ -1,5 +1,8 @@
 """Transform plans, analysis/synthesis, projections, energy spectra."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,7 @@ def plan36():
 class TestBuildPlan:
     def test_t4_matrix(self, plan4):
         assert np.array_equal(plan4.basis, T4)
+        assert not plan4.basis.flags.writeable
 
     def test_t4_gram_diagonal(self, plan4):
         assert np.array_equal(plan4.basis.T @ plan4.basis, np.diag([4, 4, 8, 8]))
@@ -193,6 +197,25 @@ class TestEnergySpectrum:
             x = rng.normal(size=36)
             spec = energy_spectrum(plan36, x)
             assert abs(sum(spec.values()) - x @ x) < 1e-9 * (x @ x)
+
+
+def test_plan_memory_is_linear_in_n():
+    """A plan holds only closed forms: no N x N array is built for it."""
+    n = 5040
+    tracemalloc.start()
+    try:
+        plan = build_plan(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    x = np.random.default_rng(10).normal(size=n)
+    power = np.abs(np.fft.fft(x)) ** 2 / n
+    spec = energy_spectrum(plan, x)
+    assert list(spec) == divisors(n)
+    for m in plan.divisors:
+        bins = [k for k in range(n) if n // math.gcd(k, n) == m]
+        assert abs(spec[m] - power[bins].sum()) <= 1e-9 * (x @ x), m
 
 
 class TestSpaceForFrequency:
