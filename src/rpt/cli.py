@@ -228,6 +228,9 @@ def dispatch(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:  # a block size or duration too large to allocate
+        print(f"usage error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

@@ -175,7 +175,6 @@ ECG_BUMPS = (
     (0.445, -0.10, 0.010),  # S
     (0.62, 0.175, 0.045),  # T
 )
-ECG_R_CENTER = 0.40
 ECG_R_AMPLITUDE = 0.5
 
 
@@ -188,6 +187,8 @@ def synth_ecg(duration: float, fs: float, heart_rate: float) -> Signal:
         raise ValueError(f"duration {duration} s must be positive and finite")
     if not 0 < fs < np.inf:
         raise ValueError(f"sampling rate {fs} must be positive and finite")
+    if not duration * fs < np.inf:
+        raise ValueError(f"duration {duration} s at {fs} Hz overflows the sample count")
     if not 20 <= heart_rate <= 240:
         raise ValueError(f"heart rate {heart_rate} bpm outside [20, 240]")
     n_samples = int(round(duration * fs))

@@ -4,24 +4,20 @@ periodic subspaces block by block and reconstruct."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .io import Signal, blocks
-from .transform import (
+from .transform import (  # ConfigurationError and admissible_hint are re-exported
     CoefficientVector,
-    FrequencyNotRepresentable,
+    ConfigurationError,
     TransformPlan,
+    admissible_hint,
     bin_periods,
     forward,
     inverse,
     space_for_frequency,
 )
-
-
-class ConfigurationError(ValueError):
-    """Invalid suppression configuration (e.g. frequency/block-size mismatch)."""
 
 
 @dataclass(frozen=True)
@@ -30,7 +26,6 @@ class WindowMask:
 
     plan_n: int
     gains: np.ndarray
-    zeroed_spaces: frozenset[int]
 
     def __post_init__(self):
         self.gains.setflags(write=False)
@@ -49,22 +44,10 @@ class SuppressionConfig:
 
     def target_spaces(self) -> frozenset[int]:
         """Periodic subspaces owning each interference frequency."""
-        try:
-            return frozenset(
-                space_for_frequency(f, self.fs, self.block_size).space
-                for f in self.interference_freqs
-            )
-        except FrequencyNotRepresentable as exc:
-            raise ConfigurationError(
-                f"{exc}; admissible block sizes are {admissible_hint(exc.f0, self.fs)}"
-            ) from exc
-
-
-def admissible_hint(f0: float, fs: float) -> list[int]:
-    """The five smallest block sizes at which f0 falls on an integer bin: the
-    multiples of the reduced denominator of f0/fs."""
-    step = (Fraction(str(f0)) / Fraction(str(fs))).denominator
-    return [step * k for k in range(1, 6)]
+        return frozenset(
+            space_for_frequency(f, self.fs, self.block_size).space
+            for f in self.interference_freqs
+        )
 
 
 def make_mask(plan: TransformPlan, targets: set[int] | frozenset[int]) -> WindowMask:
@@ -75,7 +58,7 @@ def make_mask(plan: TransformPlan, targets: set[int] | frozenset[int]) -> Window
             raise ValueError(f"{m} is not a divisor of block length {plan.n}")
         rng = plan.layout[m]
         gains[rng.start : rng.stop] = 0.0
-    return WindowMask(plan_n=plan.n, gains=gains, zeroed_spaces=frozenset(targets))
+    return WindowMask(plan_n=plan.n, gains=gains)
 
 
 def suppress_block(plan: TransformPlan, mask: WindowMask, x: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Block transform over periodic subspaces: plan construction, analysis,
-synthesis, projections, and per-period energy spectra.
+synthesis, projections, per-period energy spectra, and the binding of an
+interference frequency to its subspace (or the block sizes that would bind it).
 
 The transform matrix concatenates the shift bases of every divisor of the
 block length. The period-m subspace of a length-N block is exactly the span
@@ -57,25 +58,26 @@ class CoefficientVector:
             )
 
 
+class ConfigurationError(ValueError):
+    """Invalid configuration (e.g. frequency/block-size mismatch)."""
+
+
 @dataclass(frozen=True)
 class FrequencyBinding:
     """A sinusoid frequency resolved to its DFT bin and periodic subspace."""
 
-    f0: float
-    fs: float
-    n: int
     bin: int
     space: int
 
 
-class FrequencyNotRepresentable(ValueError):
+class FrequencyNotRepresentable(ConfigurationError):
     """f0 does not fall on an integer bin for the given block length."""
 
     def __init__(self, f0: float, fs: float, n: int):
-        self.f0, self.fs, self.n = f0, fs, n
         super().__init__(
             f"{f0} Hz at fs={fs} Hz is not an integer bin for block length {n}; "
-            f"choose a block length making f0*n/fs integral"
+            f"choose a block length making f0*n/fs integral; "
+            f"admissible block sizes are {admissible_hint(f0, fs)}"
         )
 
 
@@ -173,4 +175,11 @@ def space_for_frequency(f0: float, fs: float, n: int) -> FrequencyBinding:
     if ratio.denominator != 1:
         raise FrequencyNotRepresentable(f0, fs, n)
     k0 = ratio.numerator
-    return FrequencyBinding(f0=f0, fs=fs, n=n, bin=k0, space=n // math.gcd(k0, n))
+    return FrequencyBinding(bin=k0, space=n // math.gcd(k0, n))
+
+
+def admissible_hint(f0: float, fs: float) -> list[int]:
+    """The five smallest block sizes at which f0 falls on an integer bin: the
+    multiples of the reduced denominator of f0/fs."""
+    step = (Fraction(str(f0)) / Fraction(str(fs))).denominator
+    return [step * k for k in range(1, 6)]

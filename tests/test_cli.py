@@ -449,6 +449,33 @@ def test_synth_non_finite_names_the_flag(tmp_path, capsys, flag, value, message)
     assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
+def test_synth_overflowing_sample_count(tmp_path, capsys):
+    argv = ["synth", "--output", str(tmp_path / "x.csv")]
+    code = dispatch([*argv, "--duration", "1e200", "--fs", "1e200"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "usage error: duration 1e+200 s at 1e+200 Hz overflows the sample count\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 2.56 PiB"), "Unable to allocate 2.56 PiB"),
+        (MemoryError(), "out of memory"),
+    ],
+)
+def test_memory_error_is_one_usage_line(tmp_path, capsys, monkeypatch, exc, message):
+    def too_large(*args):
+        raise exc
+
+    monkeypatch.setattr("rpt.cli.synth_ecg", too_large)
+    code = dispatch(["synth", "--output", str(tmp_path / "x.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_import_leaves_scipy_out():
     src = str(Path(rpt.__file__).parents[1])
     code = (

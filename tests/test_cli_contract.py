@@ -106,6 +106,7 @@ def paths(tmp_path_factory):
 @example(argv=["synth", "--output", "OUT", "--fs=nan"])
 @example(argv=["synth", "--output", "OUT", "--duration=inf"])
 @example(argv=["synth", "--output", "OUT", "--duration=nan"])
+@example(argv=["synth", "--output", "OUT", "--duration=1e200", "--fs=1e200"])
 def test_exit_code_and_one_line(paths, argv):
     argv = [paths.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()

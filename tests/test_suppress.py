@@ -13,6 +13,8 @@ from rpt.suppress import (
     suppress_block,
 )
 from rpt.transform import build_plan, project
+from rpt.ramanujan import euler_totient
+from rpt.transform import bin_periods, space_for_frequency
 
 
 @pytest.fixture(scope="module")
@@ -186,3 +188,35 @@ def test_spectral_path_matches_dense_reference(n, fs):
         cols = plan.basis[:, rng_m.start : rng_m.stop].astype(float)
         dense = cols @ np.linalg.solve(cols.T @ cols, cols.T @ blk)
         assert np.abs(project(plan, blk, m) - dense).max() <= 1e-9
+
+
+class TestRemovalAt360:
+    """What "remove f0" removes at fs = 360: the whole subspace f0 binds to."""
+
+    @pytest.mark.parametrize("n", admissible_hint(50.0, 360.0))
+    def test_50hz_removes_period_36(self, n):
+        space = space_for_frequency(50.0, 360.0, n).space
+        assert space == 36
+        assert euler_totient(space) == int((bin_periods(n) == space).sum()) == 12
+        bins = np.flatnonzero(bin_periods(n)[: n // 2 + 1] == space)
+        assert (bins * 360.0 / n).tolist() == [10, 50, 70, 110, 130, 170]
+
+    def test_run_removes_the_six_tones_and_passes_20hz(self):
+        cfg = SuppressionConfig(block_size=36, interference_freqs=(50.0,), fs=360.0)
+        six = sum(tone(360, f0=f) for f in (10.0, 50.0, 70.0, 110.0, 130.0, 170.0))
+        assert np.abs(run(Signal(samples=six, fs=360.0), cfg).samples).max() < 1e-12
+        x = tone(360, f0=20.0)
+        out = run(Signal(samples=x, fs=360.0), cfg).samples
+        assert np.abs(out - x).max() < 1e-9
+
+    @pytest.mark.parametrize("n", admissible_hint(60.0, 360.0))
+    def test_60hz_removes_period_6(self, n):
+        space = space_for_frequency(60.0, 360.0, n).space
+        assert space == 6
+        assert euler_totient(space) == int((bin_periods(n) == space).sum()) == 2
+
+    def test_drifted_tone_binds_at_7200(self):
+        assert admissible_hint(50.05, 360.0)[0] == 7200
+        space = space_for_frequency(50.05, 360.0, 7200).space
+        assert space == 7200
+        assert euler_totient(space) == int((bin_periods(7200) == space).sum()) == 1920

@@ -8,6 +8,7 @@ import pytest
 
 from rpt.transform import (
     CoefficientVector,
+    ConfigurationError,
     FrequencyNotRepresentable,
     build_plan,
     energy_spectrum,
@@ -236,6 +237,10 @@ class TestSpaceForFrequency:
             space_for_frequency(50, 360, 35)
         with pytest.raises(FrequencyNotRepresentable):
             space_for_frequency(50.0000000001, 360, 36)
+        with pytest.raises(FrequencyNotRepresentable) as info:
+            space_for_frequency(50, 360, 35)
+        assert isinstance(info.value, ConfigurationError)
+        assert "[36, 72, 108, 144, 180]" in str(info.value)
 
     def test_decimal_binds_as_typed(self):
         b = space_for_frequency(0.1, 360.0, 3600)
