@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +20,7 @@ from .io import (
     read_csv,
     read_wfdb_212,
     synth_ecg,
+    table,
     write_csv,
 )
 from .metrics import compare_grid, write_block_errors_csv, write_report_csv
@@ -148,10 +148,9 @@ def _cmd_spectrum(args) -> int:
     plan = build_plan(n)
     spectrum = energy_spectrum(plan, sig.samples[start : start + n])
     total = sum(spectrum.values())
-    print("period,energy,fraction")
-    for m in plan.divisors:
-        frac = spectrum[m] / total if total > 0 else 0.0
-        print(f"{m},{spectrum[m]:.17g},{frac:.17g}")
+    rows = [(m, e, e / total if total > 0 else 0.0) for m, e in spectrum.items()]
+    values = [v for row in rows for v in row]
+    sys.stdout.write(table("period,energy,fraction\n", "%d,%.17g,%.17g\n", values))
     return EXIT_OK
 
 
@@ -169,10 +168,10 @@ def _cmd_denoise(args) -> int:
         )
     write_csv(cleaned, args.output)
     if args.plot_csv:
-        rows = zip(range(len(sig)), sig.samples.tolist(), cleaned.samples.tolist())
-        with open(args.plot_csv, "w", encoding="utf-8") as fh:
-            fh.write("index,original,cleaned\n")
-            fh.write(("%d,%.17g,%.17g\n" * len(sig)) % tuple(chain.from_iterable(rows)))
+        columns = (np.arange(len(sig)), sig.samples, cleaned.samples)
+        values = np.column_stack(columns).ravel().tolist()
+        plot = table("index,original,cleaned\n", "%d,%.17g,%.17g\n", values)
+        Path(args.plot_csv).write_text(plot, "utf-8")
     return EXIT_OK
 
 
@@ -185,6 +184,10 @@ def _cmd_compare(args) -> int:
         raise UsageError("--block-sizes is empty")
     clean = read_csv(args.clean, column=args.column, fs=args.fs)
     dirty = read_csv(args.dirty, column=args.column, fs=args.fs)
+    if len(clean) != len(dirty):
+        raise DataFormatError(
+            f"{args.clean} has {len(clean)} samples but {args.dirty} has {len(dirty)}"
+        )
     reports = compare_grid(clean, dirty, block_sizes, args.f0, args.q)
     write_report_csv(reports, args.output)
     if args.block_errors_dir:
@@ -194,11 +197,8 @@ def _cmd_compare(args) -> int:
             write_block_errors_csv(
                 r, out_dir / f"errors_{r.method}_n{r.block_size}.csv"
             )
-    for r in reports:
-        print(
-            f"block_size={r.block_size} method={r.method} "
-            f"total_error={r.total:.6g} num_blocks={len(r.per_block_errors)}"
-        )
+    row = "block_size=%d method=%s total_error=%.6g num_blocks=%d\n"
+    sys.stdout.write(table("", row, [v for r in reports for v in r.fields]))
     return EXIT_OK
 
 

@@ -92,12 +92,17 @@ def _parse_lines(lines, path: str | Path, column: int) -> np.ndarray:
     return np.array(values)
 
 
+def table(header: str, row: str, values: list) -> str:
+    """header, then row once per record, filled in one % call from flat values;
+    row holds one % field per column and no literal %."""
+    return header + (row * (len(values) // row.count("%"))) % tuple(values)
+
+
 def write_csv(signal: Signal, path: str | Path) -> None:
     """One sample per line, 17 significant digits (round-trip exact)."""
     if len(signal) == 0:
         raise ValueError("refusing to write an empty signal")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(("%.17g\n" * len(signal)) % tuple(signal.samples.tolist()))
+    Path(path).write_text(table("", "%.17g\n", signal.samples.tolist()), "utf-8")
 
 
 def read_wfdb_212(
@@ -128,19 +133,14 @@ def read_wfdb_212(
         raise DataFormatError(
             f"{path}: length {len(raw)} is not a multiple of 3 (truncated frame)"
         )
-    frames = raw.reshape(-1, 3).astype(np.int64)
-    s1 = ((frames[:, 1] & 0x0F) << 8) | frames[:, 0]
-    s2 = ((frames[:, 1] & 0xF0) << 4) | frames[:, 2]
-    s1 = np.where(s1 >= 2048, s1 - 4096, s1)
-    s2 = np.where(s2 >= 2048, s2 - 4096, s2)
-    if channels == 1:
-        samples = np.empty(2 * len(frames), dtype=np.int64)
-        samples[0::2] = s1
-        samples[1::2] = s2
-    else:
-        samples = s1 if select == 0 else s2
+    # int16 holds every 12-bit field and moves a quarter of int64's bytes; the
+    # baseline, up to 2**53, is subtracted in int64
+    frames = raw.reshape(-1, 3).astype(np.int16)
+    nibbles = frames[:, 1:2] & np.int16([0x0F, 0xF0])
+    pair = frames[:, ::2] | (nibbles << np.int16([8, 4]))  # columns s1, s2
+    samples = (((pair + 2048) & 4095) - 2048).reshape(-1)[select::channels]
     with np.errstate(over="ignore"):  # a tiny gain overflows; Signal rejects inf
-        physical = (samples - baseline) / gain
+        physical = (samples.astype(np.int64) - baseline) / gain
     return Signal(samples=physical, fs=fs)
 
 

@@ -3,13 +3,12 @@ between subspace suppression and the notch baseline."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .io import Signal, blocks
+from .io import Signal, blocks, table
 from .notch import design_notch, filter_blocked
 from .suppress import SuppressionConfig, run
 
@@ -25,6 +24,11 @@ class SuppressionReport:
 
     def __post_init__(self):
         self.per_block_errors.setflags(write=False)
+
+    @property
+    def fields(self) -> tuple:
+        """The report's row: block size, method, total error, block count."""
+        return (self.block_size, self.method, self.total, len(self.per_block_errors))
 
 
 def block_error(clean_block: np.ndarray, recon_block: np.ndarray) -> float:
@@ -85,19 +89,13 @@ def compare_grid(
 
 def write_report_csv(reports: list[SuppressionReport], path: str | Path) -> None:
     """Summary CSV: one row per (block size, method)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["block_size", "method", "total_error", "num_blocks"])
-        for r in reports:
-            w.writerow(
-                [r.block_size, r.method, f"{r.total:.17g}", len(r.per_block_errors)]
-            )
+    header = "block_size,method,total_error,num_blocks\n"
+    values = [v for r in reports for v in r.fields]
+    Path(path).write_text(table(header, "%d,%s,%.17g,%d\n", values), "utf-8")
 
 
 def write_block_errors_csv(report: SuppressionReport, path: str | Path) -> None:
     """Per-block CSV: block index and its error."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["block_index", "e_i"])
-        for i, e in enumerate(report.per_block_errors):
-            w.writerow([i, f"{e:.17g}"])
+    errors = report.per_block_errors
+    values = np.column_stack((np.arange(len(errors)), errors)).ravel().tolist()
+    Path(path).write_text(table("block_index,e_i\n", "%d,%.17g\n", values), "utf-8")

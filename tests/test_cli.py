@@ -117,6 +117,15 @@ class TestSpectrum:
             "data error: block -1 of size 36 is outside the 3600 samples\n"
         )
 
+    def test_zero_block_prints_zero_fractions(self, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        write_csv(Signal(samples=np.zeros(72), fs=360.0), path)
+        code = dispatch(["spectrum", "--input", str(path), "--block-size", "36"])
+        assert code == 0
+        assert capsys.readouterr().out == "period,energy,fraction\n" + "".join(
+            f"{m},0,0\n" for m in (1, 2, 3, 4, 6, 9, 12, 18, 36)
+        )
+
 
 class TestDenoise:
     def test_rpt_removes_tone(self, tmp_path):
@@ -289,6 +298,17 @@ class TestCompare:
             ]
         )
         assert code == 1
+
+    def test_length_mismatch_names_both_files(self, tmp_path, capsys):
+        clean = synth_file(tmp_path)
+        dirty = synth_file(tmp_path, name="short.csv", duration="9")
+        argv = ["compare", "--clean", str(clean), "--dirty", str(dirty)]
+        code = dispatch([*argv, "--output", str(tmp_path / "r.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: {clean} has 3600 samples but {dirty} has 3240\n"
+        )
+        assert not (tmp_path / "r.csv").exists()
 
 
 class TestUsage:

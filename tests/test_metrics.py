@@ -130,3 +130,20 @@ class TestReportCsv:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(report.per_block_errors)
         assert float(rows[3]["e_i"]) == report.per_block_errors[3]
+
+    def test_exact_bytes(self, tmp_path):
+        clean = synth_ecg(2.0, 360.0, 72.0)
+        dirty = add_sinusoid(clean, 50.0, 0.5)
+        reports = compare_grid(clean, dirty, [36, 72], 50.0, 1.0)
+        path = tmp_path / "report.csv"
+        write_report_csv(reports, path)
+        want = "block_size,method,total_error,num_blocks\n" + "".join(
+            f"{r.block_size},{r.method},{r.total:.17g},{len(r.per_block_errors)}\n"
+            for r in reports
+        )
+        assert path.read_bytes() == want.encode()
+        write_block_errors_csv(reports[1], path)
+        want = "block_index,e_i\n" + "".join(
+            f"{i},{e:.17g}\n" for i, e in enumerate(reports[1].per_block_errors)
+        )
+        assert path.read_bytes() == want.encode()
