@@ -1,8 +1,9 @@
 """Command-line surface: synthesize, contaminate, inspect period spectra,
 denoise, and produce the method-comparison grid.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 configuration
-error (e.g. interference frequency not representable at the block size).
+Exit codes: 0 success, 1 usage error, 2 data/format error (including samples
+whose transform or error overflows the float range), 3 configuration error
+(e.g. interference frequency not representable at the block size).
 """
 
 from __future__ import annotations
@@ -34,13 +35,9 @@ EXIT_DATA = 2
 EXIT_CONFIG = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _add_input_flags(p: argparse.ArgumentParser) -> None:
@@ -179,9 +176,9 @@ def _cmd_compare(args) -> int:
     try:
         block_sizes = [int(s) for s in args.block_sizes.split(",") if s]
     except ValueError:
-        raise UsageError(f"--block-sizes must be comma-separated integers") from None
+        raise ValueError("--block-sizes must be comma-separated integers") from None
     if not block_sizes:
-        raise UsageError("--block-sizes is empty")
+        raise ValueError("--block-sizes is empty")
     clean = read_csv(args.clean, column=args.column, fs=args.fs)
     dirty = read_csv(args.dirty, column=args.column, fs=args.fs)
     if len(clean) != len(dirty):
@@ -214,21 +211,17 @@ _COMMANDS = {
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.subcommand](args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # underflow stays silent: synth_ecg's Gaussian tails underflow by design
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            args = parser.parse_args(argv)
+            return _COMMANDS[args.subcommand](args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataFormatError, OSError) as exc:
+    except (DataFormatError, OSError, FloatingPointError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError as exc:  # a block size or duration too large to allocate
+    except (ValueError, MemoryError) as exc:  # or a size too large to allocate
         print(f"usage error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
 

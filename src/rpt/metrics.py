@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .io import Signal, blocks, table
+from .io import DataFormatError, Signal, blocks, table
 from .notch import design_notch, filter_blocked
 from .suppress import SuppressionConfig, run
 
@@ -61,7 +61,8 @@ def compare_grid(
     """Run both suppression methods at each block size and score against clean.
 
     The final partial block is zero-padded on both the contaminated input and
-    the clean reference, and scored over the whole padded block.
+    the clean reference, and scored over the whole padded block. A total error
+    past the float range raises DataFormatError.
     """
     if len(clean) != len(contaminated) or clean.fs != contaminated.fs:
         raise ValueError("clean and contaminated signals must match in length and fs")
@@ -75,13 +76,18 @@ def compare_grid(
 
         for method, recon in (("rpt", rpt_out), ("notch", notch_out)):
             d = clean_blocks - recon.reshape(-1, n)
-            errors = np.einsum("ij,ij->i", d, d)
+            errors = np.einsum("ij,ij->i", d, d)  # sets no overflow flag
+            total = total_error(errors)
+            if not np.isfinite(total):
+                raise DataFormatError(
+                    f"{method} total error at block size {n} overflows the float range"
+                )
             reports.append(
                 SuppressionReport(
                     block_size=n,
                     method=method,
                     per_block_errors=errors,
-                    total=total_error(errors),
+                    total=total,
                 )
             )
     return reports

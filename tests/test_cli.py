@@ -510,3 +510,56 @@ def test_import_leaves_scipy_out():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--input", "BIG", "--block-size=4"],
+        ["denoise", "--input", "BIG", "--output", "OUT", "--block-size=4", "--f0=90"],
+        ["compare", "--clean", "BIG", "--dirty", "BIG", "--output", "OUT"]
+        + ["--block-sizes=4", "--f0=90"],
+    ],
+    ids=["spectrum", "denoise", "compare"],
+)
+def test_overflow_is_one_data_error_line(tmp_path, capsys, argv):
+    """Finite samples whose transform overflows end in one line, exit 2."""
+    big = tmp_path / "big.csv"
+    write_csv(Signal(samples=np.tile([1e308, -1e308], 18), fs=360.0), big)
+    out = tmp_path / "out.csv"
+    code = dispatch([{"BIG": str(big), "OUT": str(out)}.get(a, a) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_compare_overflowing_total_is_one_data_error_line(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    record = tmp_path / "e306.csv"
+    write_csv(Signal(samples=rng.standard_normal(3600) * 1e306, fs=360.0), record)
+    report = tmp_path / "r.csv"
+    argv = ["compare", "--clean", str(record), "--dirty", str(record)]
+    code = dispatch([*argv, "--block-sizes", "36", "--output", str(report)])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "",
+        "data error: rpt total error at block size 36 overflows the float range\n",
+    )
+    assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("36,x", "--block-sizes must be comma-separated integers"),
+        (",", "--block-sizes is empty"),
+    ],
+)
+def test_bad_block_sizes_message(tmp_path, capsys, value, message):
+    clean = synth_file(tmp_path, duration="1")
+    capsys.readouterr()
+    argv = ["compare", "--clean", str(clean), "--dirty", str(clean)]
+    code = dispatch([*argv, f"--block-sizes={value}", "--output", str(tmp_path / "r")])
+    assert code == 1
+    assert capsys.readouterr().err == f"usage error: {message}\n"

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rpt.cli import dispatch
 from rpt.io import add_sinusoid, synth_ecg, write_csv
+from rpt.io import Signal
 
 LENGTH = 360
 
@@ -115,3 +116,43 @@ def test_exit_code_and_one_line(paths, argv):
     assert code in (0, 1, 2, 3)
     if code:
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+
+
+EXTREMES = [1e308, -1e308, np.finfo(float).max, -np.finfo(float).max, 5e-324, -5e-324]
+extreme_records = st.lists(
+    st.one_of(
+        st.sampled_from(EXTREMES), st.floats(allow_nan=False, allow_infinity=False)
+    ),
+    min_size=1,
+    max_size=72,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(samples=extreme_records, n=st.sampled_from([1, 2, 4, 36]))
+def test_extreme_samples_exit_code_and_one_line(tmp_path_factory, samples, n):
+    """Finite samples up to the float range end in exit 0-3 and, on failure, one
+    line; a success prints and writes no nan or inf."""
+    root = tmp_path_factory.mktemp("extreme")
+    clean, dirty, out = root / "clean.csv", root / "dirty.csv", root / "out.csv"
+    write_csv(Signal(samples=np.array(samples), fs=360.0), clean)
+    write_csv(Signal(samples=np.array(samples[::-1]), fs=360.0), dirty)
+    denoise = ["denoise", "--input", str(dirty), "--output", str(out), "--f0=90"]
+    compare = ["compare", "--clean", str(clean), "--dirty", str(dirty), "--f0=90"]
+    for argv in (
+        ["spectrum", "--input", str(clean), f"--block-size={n}"],
+        [*denoise, f"--block-size={n}"],
+        [*denoise, f"--block-size={n}", "--method=notch"],
+        [*compare, f"--block-sizes={n}", "--output", str(out)],
+    ):
+        out.unlink(missing_ok=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = dispatch(argv)
+        assert code in (0, 1, 2, 3)
+        if code:
+            assert len(stderr.getvalue().splitlines()) == 1, stderr.getvalue()
+        else:
+            written = out.read_text() if out.exists() else ""
+            for text in (stdout.getvalue(), written):
+                assert "nan" not in text and "inf" not in text, (argv, text)
