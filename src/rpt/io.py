@@ -55,17 +55,21 @@ def read_csv(path: str | Path, column: int = 0, fs: float = 360.0) -> Signal:
     """
     if column < 0:
         raise ValueError(f"column must be non-negative, got {column}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            with warnings.catch_warnings():
-                # loadtxt warns, rather than raises, on a file with no rows
-                warnings.simplefilter("error", UserWarning)
-                values = np.loadtxt(
-                    fh, delimiter=",", usecols=column, comments=None, ndmin=1
-                )
-        except (ValueError, IndexError, OverflowError, UserWarning):
-            fh.seek(0)
-            values = _parse_lines(fh, path, column)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                with warnings.catch_warnings():
+                    # loadtxt warns, rather than raises, on a file with no rows
+                    warnings.simplefilter("error", UserWarning)
+                    values = np.loadtxt(
+                        fh, delimiter=",", usecols=column, comments=None, ndmin=1
+                    )
+            except (ValueError, IndexError, OverflowError, UserWarning):
+                fh.seek(0)
+                values = _parse_lines(fh, path, column)
+    except UnicodeDecodeError as exc:
+        # the decoder's offset counts from the start of a chunk, not the file
+        raise DataFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return Signal(samples=values, fs=fs)
 
 

@@ -20,10 +20,14 @@ class SuppressionReport:
     block_size: int
     method: str  # "rpt" | "notch"
     per_block_errors: np.ndarray
-    total: float
 
     def __post_init__(self):
         self.per_block_errors.setflags(write=False)
+
+    @property
+    def total(self) -> float:
+        """E, the sum of the per-block errors e_i."""
+        return total_error(self.per_block_errors)
 
     @property
     def fields(self) -> tuple:
@@ -76,20 +80,12 @@ def compare_grid(
 
         for method, recon in (("rpt", rpt_out), ("notch", notch_out)):
             d = clean_blocks - recon.reshape(-1, n)
-            errors = np.einsum("ij,ij->i", d, d)  # sets no overflow flag
-            total = total_error(errors)
-            if not np.isfinite(total):
+            report = SuppressionReport(n, method, np.einsum("ij,ij->i", d, d))
+            if not np.isfinite(report.total):  # einsum sets no overflow flag
                 raise DataFormatError(
                     f"{method} total error at block size {n} overflows the float range"
                 )
-            reports.append(
-                SuppressionReport(
-                    block_size=n,
-                    method=method,
-                    per_block_errors=errors,
-                    total=total,
-                )
-            )
+            reports.append(report)
     return reports
 
 

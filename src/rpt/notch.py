@@ -63,6 +63,8 @@ def design_notch(f0: float, fs: float, q: float) -> BiquadCoeffs:
         raise ValueError(f"notch frequency {f0} Hz outside (0, {fs / 2}) Hz")
     if not q > 0:
         raise ValueError(f"quality factor must be positive, got {q}")
+    if q == math.inf:  # alpha = 0 would make b == a, an identity filter
+        raise ValueError(f"quality factor must be finite, got {q}")
     w0 = 2.0 * math.pi * f0 / fs
     if w0 / (2.0 * q) >= math.pi / 2:
         raise ValueError(f"bandwidth {f0 / q} Hz too wide for fs={fs}")

@@ -51,7 +51,6 @@ def divisors(n: int) -> list[int]:
 class RamanujanSequence:
     """One period of the integer sequence s_m(n)."""
 
-    m: int
     values: np.ndarray  # int64, length m
 
     def __post_init__(self):
@@ -59,7 +58,7 @@ class RamanujanSequence:
 
     def at(self, n: int) -> int:
         """Periodic extension: s_m(n) for any integer n."""
-        return int(self.values[n % self.m])
+        return int(self.values[n % len(self.values)])
 
 
 def ramanujan_sum(m: int) -> RamanujanSequence:
@@ -73,14 +72,13 @@ def ramanujan_sum(m: int) -> RamanujanSequence:
     values = np.zeros(m, dtype=np.int64)
     for d in divisors(m):
         values[g % d == 0] += _mobius(m // d) * d
-    return RamanujanSequence(m=m, values=values)
+    return RamanujanSequence(values=values)
 
 
 @dataclass(frozen=True)
 class CirculantDm:
     """m x m symmetric circulant whose first column is s_m(n)."""
 
-    m: int
     entries: np.ndarray  # int64, m x m
 
     def __post_init__(self):
@@ -91,7 +89,7 @@ def circulant(m: int) -> CirculantDm:
     """Circulant matrix of s_m: each column a circular down-shift of the last."""
     seq = ramanujan_sum(m)
     idx = (np.arange(m)[:, None] - np.arange(m)[None, :]) % m
-    return CirculantDm(m=m, entries=seq.values[idx])
+    return CirculantDm(entries=seq.values[idx])
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,6 @@ class ShiftBasis:
     """
 
     m: int
-    ambient_n: int
     columns: np.ndarray  # int64, N x phi(m)
 
     def __post_init__(self):
@@ -117,7 +114,7 @@ def shift_basis(m: int, ambient_n: int) -> ShiftBasis:
     seq = ramanujan_sum(m)
     phi = euler_totient(m)
     idx = (np.arange(ambient_n)[:, None] - np.arange(phi)[None, :]) % m
-    return ShiftBasis(m=m, ambient_n=ambient_n, columns=seq.values[idx])
+    return ShiftBasis(m=m, columns=seq.values[idx])
 
 
 def verify_factorization(m: int, tol: float = 1e-9) -> bool:

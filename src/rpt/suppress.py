@@ -24,7 +24,6 @@ from .transform import (  # ConfigurationError and admissible_hint are re-export
 class WindowMask:
     """0/1 gains over coefficient indices; zeros annihilate target subspaces."""
 
-    plan_n: int
     gains: np.ndarray
 
     def __post_init__(self):
@@ -58,7 +57,7 @@ def make_mask(plan: TransformPlan, targets: set[int] | frozenset[int]) -> Window
             raise ValueError(f"{m} is not a divisor of block length {plan.n}")
         rng = plan.layout[m]
         gains[rng.start : rng.stop] = 0.0
-    return WindowMask(plan_n=plan.n, gains=gains)
+    return WindowMask(gains=gains)
 
 
 def suppress_block(plan: TransformPlan, mask: WindowMask, x: np.ndarray) -> np.ndarray:
@@ -66,8 +65,8 @@ def suppress_block(plan: TransformPlan, mask: WindowMask, x: np.ndarray) -> np.n
 
     Equivalent to subtracting the projections onto the zeroed subspaces.
     """
-    if mask.plan_n != plan.n:
-        raise ValueError(f"mask for n={mask.plan_n} used with plan n={plan.n}")
+    if len(mask.gains) != plan.n:
+        raise ValueError(f"mask for n={len(mask.gains)} used with plan n={plan.n}")
     beta = forward(plan, x)
     masked = CoefficientVector(plan_n=plan.n, values=beta.values * mask.gains)
     return inverse(plan, masked)

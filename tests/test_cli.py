@@ -387,6 +387,9 @@ class TestZeroBlockSize:
         ("rpt", "--f0", "nan", "frequency nan Hz outside"),
         ("notch", "--f0", "nan", "notch frequency nan Hz outside"),
         ("notch", "--q", "nan", "quality factor must be positive, got nan"),
+        ("notch", "--q", "inf", "quality factor must be finite, got inf"),
+        ("rpt", "--f0", "inf", "frequency inf Hz outside"),
+        ("notch", "--f0", "inf", "notch frequency inf Hz outside"),
         ("rpt", "--fs", "nan", "sampling rate nan must be positive and finite"),
         ("notch", "--fs", "nan", "sampling rate nan must be positive and finite"),
         ("notch", "--fs", "inf", "sampling rate inf must be positive and finite"),
@@ -435,6 +438,10 @@ def test_bad_flag_value_is_usage_error(
         ("wfdb212", ["--gain=-inf"], 1, "usage error: gain must be finite"),
         ("wfdb212", ["--gain", "1e-320"], 2, "data error: signal contains NaN or Inf"),
         ("wfdb212", ["--baseline", str(10**20)], 1, "usage error: baseline 10"),
+        ("csv", ["--amplitude", "inf"], 1, "usage error: amplitude must be finite"),
+        ("csv", ["--phase", "nan"], 1, "usage error: phase must be finite, got nan"),
+        ("wfdb212", ["--gain", "inf"], 1, "usage error: gain must be finite"),
+        ("wfdb212", ["--channels", "3"], 1, "usage error: channels must be 1 or 2, got 3"),
     ],
 )
 def test_contaminate_bad_value_is_one_line(tmp_path, capsys, fmt, flags, code, message):
@@ -563,3 +570,37 @@ def test_bad_block_sizes_message(tmp_path, capsys, value, message):
     code = dispatch([*argv, f"--block-sizes={value}", "--output", str(tmp_path / "r")])
     assert code == 1
     assert capsys.readouterr().err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["denoise", "--input", "BAD", "--output", "OUT", "--block-size", "36"],
+        ["compare", "--clean", "CLEAN", "--dirty", "BAD", "--output", "OUT"],
+    ],
+    ids=["denoise", "compare"],
+)
+def test_non_utf8_csv_is_one_data_error_line(tmp_path, capsys, argv):
+    """A CSV that is not UTF-8 is a data error naming the file, not a usage error."""
+    clean = synth_file(tmp_path, duration="1")
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"1.0\n\xff\n2.0\n")
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    names = {"BAD": str(bad), "CLEAN": str(clean), "OUT": str(out)}
+    code = dispatch([names.get(a, a) for a in argv])
+    assert code == 2
+    assert capsys.readouterr() == (
+        "",
+        f"data error: {bad}: not UTF-8 text (invalid start byte)\n",
+    )
+    assert not out.exists()
+
+
+def test_empty_wfdb212_is_one_data_error_line(tmp_path, capsys):
+    path = tmp_path / "r.dat"
+    path.write_bytes(b"")
+    argv = ["denoise", "--input", str(path), "--format", "wfdb212", "--block-size=36"]
+    code = dispatch([*argv, "--output", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"data error: {path}: empty file\n"

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from rpt.io import Signal, add_sinusoid, synth_ecg
 from rpt.metrics import (
+    SuppressionReport,
     block_error,
     compare_grid,
     total_error,
@@ -102,6 +103,13 @@ class TestCompareGrid:
         b = Signal(samples=np.zeros(99), fs=360.0)
         with pytest.raises(ValueError):
             compare_grid(a, b, [36], 50.0, 1.0)
+
+
+def test_report_total_is_the_sum_of_block_errors():
+    report = SuppressionReport(36, "rpt", np.array([1.0, 2.0]))
+    assert report.fields == (36, "rpt", 3.0, 2)
+    with pytest.raises(TypeError):  # E is not stored beside the e_i
+        SuppressionReport(36, "rpt", np.array([1.0, 2.0]), total=10.0)
 
 
 class TestReportCsv:

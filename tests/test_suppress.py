@@ -7,6 +7,7 @@ from rpt.io import Signal
 from rpt.suppress import (
     ConfigurationError,
     SuppressionConfig,
+    WindowMask,
     admissible_hint,
     make_mask,
     run,
@@ -82,6 +83,11 @@ class TestSuppressBlock:
         with pytest.raises(ValueError):
             suppress_block(plan36, mask, np.zeros(36))
 
+    def test_mask_length_is_its_plan_length(self, plan36):
+        mask = WindowMask(gains=np.ones(72))
+        with pytest.raises(ValueError, match="mask for n=72 used with plan n=36"):
+            suppress_block(plan36, mask, np.zeros(36))
+
 
 class TestRun:
     CFG = SuppressionConfig(block_size=36, interference_freqs=(50.0,), fs=360.0)
@@ -150,6 +156,10 @@ class TestRun:
     def test_fs_mismatch(self):
         with pytest.raises(ConfigurationError):
             run(Signal(samples=np.zeros(100), fs=250.0), self.CFG)
+
+    def test_empty_signal(self):
+        with pytest.raises(ValueError, match="empty signal"):
+            run(Signal(samples=np.zeros(0), fs=360.0), self.CFG)
 
     def test_admissible_hint(self):
         assert admissible_hint(50.0, 360.0) == [36, 72, 108, 144, 180]

@@ -111,6 +111,10 @@ class TestForwardInverse:
         with pytest.raises(ValueError):
             inverse(plan4, CoefficientVector(plan_n=6, values=np.zeros(6)))
 
+    def test_coefficient_length_must_match_plan(self):
+        with pytest.raises(ValueError, match="coefficient length 3 != plan length 4"):
+            CoefficientVector(plan_n=4, values=np.zeros(3))
+
     @pytest.mark.parametrize("n", list(range(1, 49)) + [72, 108, 144, 180])
     def test_round_trip(self, n):
         rng = np.random.default_rng(n)
