@@ -80,6 +80,7 @@ def build_parser() -> _Parser:
     p.add_argument("--duration", type=float, default=300.0, help="seconds")
     p.add_argument("--fs", type=float, default=360.0)
     p.add_argument("--heart-rate", type=float, default=72.0, help="beats per minute")
+    p.set_defaults(command=_cmd_synth)
 
     p = sub.add_parser("contaminate", help="add a sinusoidal interferer")
     _add_input_flags(p)
@@ -87,11 +88,13 @@ def build_parser() -> _Parser:
     p.add_argument("--f0", type=float, default=50.0, help="interference Hz")
     p.add_argument("--amplitude", type=float, default=0.5, help="signal units")
     p.add_argument("--phase", type=float, default=0.0, help="radians")
+    p.set_defaults(command=_cmd_contaminate)
 
     p = sub.add_parser("spectrum", help="per-period projection energies of a block")
     _add_input_flags(p)
     p.add_argument("--block-size", type=int, required=True)
     p.add_argument("--block-index", type=int, default=0)
+    p.set_defaults(command=_cmd_spectrum)
 
     p = sub.add_parser("denoise", help="suppress interference, write cleaned CSV")
     _add_input_flags(p)
@@ -105,6 +108,7 @@ def build_parser() -> _Parser:
         default=None,
         help="also write index,original,cleaned columns for external plotting",
     )
+    p.set_defaults(command=_cmd_denoise)
 
     p = sub.add_parser("compare", help="error grid: rpt vs notch per block size")
     p.add_argument("--clean", required=True, help="clean reference CSV")
@@ -120,21 +124,20 @@ def build_parser() -> _Parser:
         default=None,
         help="directory for per-block error CSVs (one file per grid cell)",
     )
+    p.set_defaults(command=_cmd_compare)
     return parser
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> None:
     write_csv(synth_ecg(args.duration, args.fs, args.heart_rate), args.output)
-    return EXIT_OK
 
 
-def _cmd_contaminate(args) -> int:
+def _cmd_contaminate(args) -> None:
     sig = _read_input(args)
     write_csv(add_sinusoid(sig, args.f0, args.amplitude, args.phase), args.output)
-    return EXIT_OK
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args) -> None:
     sig = _read_input(args)
     n = args.block_size
     start = args.block_index * n
@@ -148,10 +151,9 @@ def _cmd_spectrum(args) -> int:
     rows = [(m, e, e / total if total > 0 else 0.0) for m, e in spectrum.items()]
     values = [v for row in rows for v in row]
     sys.stdout.write(table("period,energy,fraction\n", "%d,%.17g,%.17g\n", values))
-    return EXIT_OK
 
 
-def _cmd_denoise(args) -> int:
+def _cmd_denoise(args) -> None:
     sig = _read_input(args)
     if args.method == "rpt":
         cfg = SuppressionConfig(
@@ -169,10 +171,9 @@ def _cmd_denoise(args) -> int:
         values = np.column_stack(columns).ravel().tolist()
         plot = table("index,original,cleaned\n", "%d,%.17g,%.17g\n", values)
         Path(args.plot_csv).write_text(plot, "utf-8")
-    return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> None:
     try:
         block_sizes = [int(s) for s in args.block_sizes.split(",") if s]
     except ValueError:
@@ -196,16 +197,6 @@ def _cmd_compare(args) -> int:
             )
     row = "block_size=%d method=%s total_error=%.6g num_blocks=%d\n"
     sys.stdout.write(table("", row, [v for r in reports for v in r.fields]))
-    return EXIT_OK
-
-
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "contaminate": _cmd_contaminate,
-    "spectrum": _cmd_spectrum,
-    "denoise": _cmd_denoise,
-    "compare": _cmd_compare,
-}
 
 
 def dispatch(argv: list[str]) -> int:
@@ -214,7 +205,7 @@ def dispatch(argv: list[str]) -> int:
         # underflow stays silent: synth_ecg's Gaussian tails underflow by design
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             args = parser.parse_args(argv)
-            return _COMMANDS[args.subcommand](args)
+            args.command(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -224,6 +215,7 @@ def dispatch(argv: list[str]) -> int:
     except (ValueError, MemoryError) as exc:  # or a size too large to allocate
         print(f"usage error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK
 
 
 def main() -> None:

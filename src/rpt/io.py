@@ -193,9 +193,11 @@ def synth_ecg(duration: float, fs: float, heart_rate: float) -> Signal:
         raise ValueError(f"sampling rate {fs} must be positive and finite")
     if not duration * fs < np.inf:
         raise ValueError(f"duration {duration} s at {fs} Hz overflows the sample count")
+    n_samples = int(round(duration * fs))
+    if n_samples == 0:
+        raise ValueError(f"duration {duration} s at {fs} Hz gives no samples")
     if not 20 <= heart_rate <= 240:
         raise ValueError(f"heart rate {heart_rate} bpm outside [20, 240]")
-    n_samples = int(round(duration * fs))
     beat = 60.0 / heart_rate
     # beat-phase in [0, 1) of each sample
     phase = (np.arange(n_samples) / fs) % beat / beat

@@ -71,7 +71,7 @@ def design_notch(f0: float, fs: float, q: float) -> BiquadCoeffs:
     alpha = math.tan(w0 / (2.0 * q))
     c = math.cos(w0)
     scale = 1.0 / (1.0 + alpha)
-    return BiquadCoeffs(
+    coeffs = BiquadCoeffs(
         b0=scale,
         b1=-2.0 * c * scale,
         b2=scale,
@@ -81,6 +81,9 @@ def design_notch(f0: float, fs: float, q: float) -> BiquadCoeffs:
         fs=fs,
         q=q,
     )
+    if np.array_equal(coeffs.b, coeffs.a):  # 1 + alpha rounded to 1
+        raise ValueError(f"notch at {f0} Hz with Q={q} rounds to an identity filter")
+    return coeffs
 
 
 def _impulse_response(b, a1: float, a2: float, length: int) -> np.ndarray:

@@ -388,6 +388,8 @@ class TestZeroBlockSize:
         ("notch", "--f0", "nan", "notch frequency nan Hz outside"),
         ("notch", "--q", "nan", "quality factor must be positive, got nan"),
         ("notch", "--q", "inf", "quality factor must be finite, got inf"),
+        ("notch", "--q", "1e300", "notch at 50.0 Hz with Q=1e+300 rounds to an"),
+        ("notch", "--f0", "1e-300", "notch at 1e-300 Hz with Q=1.0 rounds to an"),
         ("rpt", "--f0", "inf", "frequency inf Hz outside"),
         ("notch", "--f0", "inf", "notch frequency inf Hz outside"),
         ("rpt", "--fs", "nan", "sampling rate nan must be positive and finite"),
@@ -485,6 +487,15 @@ def test_synth_overflowing_sample_count(tmp_path, capsys):
     )
 
 
+def test_synth_of_no_samples_names_the_duration(tmp_path, capsys):
+    argv = ["synth", "--output", str(tmp_path / "x.csv"), "--duration", "1e-9"]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr().err == (
+        "usage error: duration 1e-09 s at 360.0 Hz gives no samples\n"
+    )
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize(
     "exc, message",
     [
@@ -517,6 +528,23 @@ def test_import_leaves_scipy_out():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert out.stdout == "[]\n"
+
+
+def test_process_exit_status_is_dispatch_result(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(rpt.__file__).parents[1])}
+    clean = tmp_path / "clean.csv"
+
+    def rpt_process(*argv):
+        cmd = [sys.executable, "-m", "rpt.cli", *argv]
+        return subprocess.run(cmd, capture_output=True, text=True, env=env)
+
+    out = rpt_process("synth", "--output", str(clean), "--duration", "2")
+    assert (out.returncode, out.stderr) == (0, "")
+    argv = ["--input", str(clean), "--output", str(tmp_path / "o.csv")]
+    out = rpt_process("denoise", *argv, "--block-size", "35")
+    assert out.returncode == 3
+    assert out.stderr.startswith("configuration error: ")
+    assert out.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(
