@@ -32,6 +32,13 @@ class Signal:
         return len(self.samples)
 
 
+# Longest block (notch: sub-block) whose per-block operator is applied as one
+# N x N matrix product. Longer blocks zero rfft bins (suppression) or carry the
+# biquad state between sub-blocks (notch); 72 covers the paper's block sizes
+# 36 and 72.
+DENSE_BLOCK = 72
+
+
 def blocks(samples: np.ndarray, n: int) -> np.ndarray:
     """Consecutive length-n blocks of samples, one per row.
 

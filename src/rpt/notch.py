@@ -3,7 +3,7 @@ block-wise filtering with per-block state reset.
 
 With the state reset at each block, the notch is a linear operator per block:
 a causal convolution with the biquad's impulse response cut to the block
-length. It is applied to sub-blocks of at most SUB_BLOCK samples as one
+length. It is applied to sub-blocks of at most io.DENSE_BLOCK samples as one
 matrix product with a lower-triangular Toeplitz matrix; the biquad's two-value
 state then carries the response from each sub-block into the next.
 """
@@ -15,12 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import blocks
-
-# Longest sub-block applied as one Toeplitz product. Longer blocks take one
-# vectorized state carry per extra sub-block; 72 covers the paper's block sizes
-# 36 and 72 with none.
-SUB_BLOCK = 72
+from .io import DENSE_BLOCK, blocks
 
 
 @dataclass(frozen=True)
@@ -118,7 +113,7 @@ def filter_blocked(coeffs: BiquadCoeffs, x: np.ndarray, block_size: int) -> np.n
     the subspace-suppression blocking.
     """
     padded = blocks(x, block_size)
-    s = min(block_size, SUB_BLOCK)
+    s = min(block_size, DENSE_BLOCK)
     k = -(-block_size // s)
     if k * s != block_size:
         # causal, so zeros after a block's end leave its outputs unchanged

@@ -1,5 +1,12 @@
-"""Narrowband suppression: zero the coefficients of interference-bearing
-periodic subspaces block by block and reconstruct."""
+"""Narrowband suppression: remove the interference-bearing periodic subspaces
+from each block.
+
+The coefficient view (`make_mask`, `suppress_block`) zeroes their coefficients
+and reconstructs. `run` applies the same operator I - sum of P_m to every
+block: blocks of at most io.DENSE_BLOCK samples as one matrix product with
+P_m = C_m / N, C_m the N x N circulant of the integer Ramanujan sum s_m;
+longer blocks by zeroing the rfft bins of the removed subspaces.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import Signal, blocks
+from .io import DENSE_BLOCK, Signal, blocks
+from .ramanujan import circulant
 from .transform import (  # ConfigurationError and admissible_hint are re-exported
     CoefficientVector,
     ConfigurationError,
@@ -82,8 +90,18 @@ def run(signal: Signal, config: SuppressionConfig) -> Signal:
         )
     n = config.block_size
     targets = config.target_spaces()
-    # zeroing a subspace's coefficients zeroes its DFT bins, block by block
-    spectra = np.fft.rfft(blocks(signal.samples, n), axis=1)
-    spectra[:, np.isin(bin_periods(n)[: spectra.shape[1]], list(targets))] = 0.0
-    cleaned = np.fft.irfft(spectra, n=n, axis=1)
+    if n <= DENSE_BLOCK:
+        # N (I - sum of P_m) has integer entries; dividing after the product,
+        # not inside it, overflows on the inputs the FFT's forward pass does
+        op = n * np.eye(n) - sum(
+            np.tile(circulant(m).entries, (n // m, n // m)) for m in targets
+        )
+        cleaned = blocks(signal.samples, n) @ op  # op is symmetric
+        cleaned /= n
+    else:
+        # zeroing a subspace's coefficients zeroes its DFT bins, block by block
+        spectra = np.fft.rfft(blocks(signal.samples, n), axis=1)
+        spectra[:, np.isin(bin_periods(n)[: spectra.shape[1]], list(targets))] = 0.0
+        cleaned = np.fft.irfft(spectra, n=n, axis=1)
+        del spectra  # at most two record-sized arrays live at the copy
     return Signal(samples=cleaned.reshape(-1)[: len(signal)].copy(), fs=signal.fs)

@@ -13,6 +13,7 @@ import pytest
 import rpt
 from rpt.cli import dispatch
 from rpt.io import read_csv, write_csv, Signal
+from test_io import pack_frames
 
 
 def synth_file(tmp_path, name="clean.csv", duration="10"):
@@ -632,3 +633,28 @@ def test_empty_wfdb212_is_one_data_error_line(tmp_path, capsys):
     code = dispatch([*argv, "--output", str(tmp_path / "o.csv")])
     assert code == 2
     assert capsys.readouterr().err == f"data error: {path}: empty file\n"
+
+
+def test_csv_comment_is_not_a_number(tmp_path, capsys):
+    """`#` starts no comment in a CSV: the line is a parse error naming it."""
+    path = tmp_path / "note.csv"
+    path.write_text("0.25\n0.5 # note\n0.75\n", encoding="utf-8")
+    argv = ["denoise", "--input", str(path), "--output", str(tmp_path / "o.csv")]
+    assert dispatch([*argv, "--block-size", "36"]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"data error: {path}:2: cannot parse '0.5 # note' as a number\n",
+    )
+
+
+def test_contaminate_212_defaults_read_channel_0_of_record_100(tmp_path):
+    """Default --channels, --channel, --gain and --baseline are MIT-BIH 100's."""
+    raw0 = [1024, 1224, 824, 2047, -2048, 0, 1000]
+    raw1 = [0, -1, 5, 100, 1023, -7, 2000]
+    path = tmp_path / "100.dat"
+    path.write_bytes(pack_frames(raw0, raw1))
+    out = tmp_path / "o.csv"
+    argv = ["contaminate", "--input", str(path), "--format", "wfdb212"]
+    assert dispatch([*argv, "--amplitude", "0", "--output", str(out)]) == 0
+    want = (np.array(raw0) - 1024) / 200
+    assert read_csv(out).samples.tolist() == want.tolist()

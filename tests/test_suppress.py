@@ -1,5 +1,7 @@
 """Window masks, per-block suppression, and whole-signal runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,40 @@ def test_spectral_path_matches_dense_reference(n, fs):
         assert np.abs(project(plan, blk, m) - dense).max() <= 1e-9
 
 
+def coefficient_view(x, cfg):
+    """suppress_block on each zero-padded block, trimmed to len(x)."""
+    n = cfg.block_size
+    plan = build_plan(n)
+    mask = make_mask(plan, cfg.target_spaces())
+    padded = np.zeros(-(-len(x) // n) * n)
+    padded[: len(x)] = x
+    out = [suppress_block(plan, mask, b) for b in padded.reshape(-1, n)]
+    return np.concatenate(out)[: len(x)]
+
+
+@pytest.mark.parametrize("f0", [10.0, 0.0], ids=["period-N", "period-1"])
+@pytest.mark.parametrize("n", range(3, 81))  # both sides of io.DENSE_BLOCK = 72
+def test_run_matches_coefficient_view_across_the_dense_cut(n, f0):
+    # fs = 10 N puts 10 Hz on bin 1: the whole period-N subspace, phi(N)
+    # dimensions (70 at N = 71); 0 Hz is the period-1 subspace, the block mean
+    fs = 10.0 * n
+    size = 2 * n + n // 3 + 1  # never a multiple of n
+    x = np.random.default_rng(n).normal(size=size) + 1.0 + tone(size, f0=10.0, fs=fs)
+    cfg = SuppressionConfig(block_size=n, interference_freqs=(f0,), fs=fs)
+    out = run(Signal(samples=x, fs=fs), cfg).samples
+    assert np.abs(out - coefficient_view(x, cfg)).max() <= 1e-9
+
+
+@pytest.mark.parametrize("n", [36, 72])
+def test_run_matches_coefficient_view_for_two_targets(n):
+    # 50 Hz binds to period 36 and 60 Hz to period 6
+    cfg = SuppressionConfig(block_size=n, interference_freqs=(50.0, 60.0), fs=360.0)
+    assert cfg.target_spaces() == {36, 6}
+    x = np.random.default_rng(n).normal(size=5 * n + 7) + tone(5 * n + 7, f0=60.0)
+    out = run(Signal(samples=x, fs=360.0), cfg).samples
+    assert np.abs(out - coefficient_view(x, cfg)).max() <= 1e-9
+
+
 class TestRemovalAt360:
     """What "remove f0" removes at fs = 360: the whole subspace f0 binds to."""
 
@@ -230,3 +266,18 @@ class TestRemovalAt360:
         space = space_for_frequency(50.05, 360.0, 7200).space
         assert space == 7200
         assert euler_totient(space) == int((bin_periods(7200) == space).sum()) == 1920
+
+
+@pytest.mark.parametrize("n", [36, 72, 360, 1440])
+def test_run_peak_memory_two_records(n):
+    """Input blocks and output, as in the notch; no third record-sized array."""
+    x = np.random.default_rng(17).normal(size=524_288)
+    sig = Signal(samples=x, fs=360.0)
+    cfg = SuppressionConfig(block_size=n, interference_freqs=(50.0,), fs=360.0)
+    tracemalloc.start()
+    try:
+        run(sig, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * x.nbytes
