@@ -39,17 +39,30 @@ class Signal:
 DENSE_BLOCK = 72
 
 
-def blocks(samples: np.ndarray, n: int) -> np.ndarray:
-    """Consecutive length-n blocks of samples, one per row.
+def blocks(samples: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The whole length-n blocks of samples, one per row, as a view of them,
+    and the final partial block zero-padded to n, as a (0 or 1) x n array.
 
-    The final partial block is zero-padded; callers trim outputs back to
-    len(samples).
+    Only the partial block is copied; callers write one output array of
+    len(samples), whose tail is that block's output trimmed.
     """
     if n < 1:
         raise ValueError(f"block length must be positive, got {n}")
-    total = len(samples)
-    out = np.zeros((-(-total // n), n))
-    out.reshape(-1)[:total] = samples
+    samples = np.asarray(samples, dtype=float)  # no copy of a float array
+    whole = len(samples) // n * n
+    tail = np.zeros((int(whole < len(samples)), n))
+    tail.reshape(-1)[: len(samples) - whole] = samples[whole:]
+    return samples[:whole].reshape(-1, n), tail
+
+
+def block_product(samples: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Each length-N block of samples, as a row, times the N x N op, written
+    into one array of len(samples): the whole blocks in one product, then the
+    zero-padded final block in a one-row product, trimmed."""
+    whole, tail = blocks(samples, len(op))
+    out = np.empty(len(samples))
+    np.matmul(whole, op, out=out[: whole.size].reshape(whole.shape))
+    out[whole.size :] = (tail @ op).reshape(-1)[: len(samples) - whole.size]
     return out
 
 

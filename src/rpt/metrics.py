@@ -72,8 +72,8 @@ def compare_grid(
         raise ValueError("clean and contaminated signals must match in length and fs")
     reports = []
     for n in block_sizes:
-        clean_blocks = blocks(clean.samples, n)
-        dirty = blocks(contaminated.samples, n).reshape(-1)
+        clean_blocks = _padded(clean.samples, n)
+        dirty = _padded(contaminated.samples, n).reshape(-1)
         cfg = SuppressionConfig(block_size=n, interference_freqs=(f0,), fs=clean.fs)
         rpt_out = run(Signal(samples=dirty, fs=contaminated.fs), cfg).samples
         notch_out = filter_blocked(design_notch(f0, clean.fs, q), dirty, n)
@@ -87,6 +87,13 @@ def compare_grid(
                 )
             reports.append(report)
     return reports
+
+
+def _padded(samples: np.ndarray, n: int) -> np.ndarray:
+    """Every length-n block, one per row, the final one zero-padded; a view of
+    samples when n divides their length."""
+    whole, tail = blocks(samples, n)
+    return np.concatenate((whole, tail)) if len(tail) else whole
 
 
 def write_report_csv(reports: list[SuppressionReport], path: str | Path) -> None:

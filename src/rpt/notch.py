@@ -5,7 +5,9 @@ With the state reset at each block, the notch is a linear operator per block:
 a causal convolution with the biquad's impulse response cut to the block
 length. It is applied to sub-blocks of at most io.DENSE_BLOCK samples as one
 matrix product with a lower-triangular Toeplitz matrix; the biquad's two-value
-state then carries the response from each sub-block into the next.
+state then carries the response from each sub-block into the next. Whole
+blocks are read as a view of the input; only the final partial block is
+zero-padded, and its output is trimmed into the one output array.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import DENSE_BLOCK, blocks
+from .io import DENSE_BLOCK, block_product, blocks
 
 
 @dataclass(frozen=True)
@@ -112,31 +114,46 @@ def filter_blocked(coeffs: BiquadCoeffs, x: np.ndarray, block_size: int) -> np.n
     The final partial block is zero-padded, filtered, and trimmed, matching
     the subspace-suppression blocking.
     """
-    padded = blocks(x, block_size)
+    whole, tail = blocks(x, block_size)  # rejects block_size < 1
     s = min(block_size, DENSE_BLOCK)
-    k = -(-block_size // s)
-    if k * s != block_size:
-        # causal, so zeros after a block's end leave its outputs unchanged
-        padded = np.pad(padded, ((0, 0), (0, k * s - block_size)))
     lag = np.arange(s) - np.arange(s)[:, None]
     h = _impulse_response(coeffs.b, coeffs.a1, coeffs.a2, s)
     # zero-state response of every sub-block: row @ op, op[j, i] = h[i - j]
-    y = (padded.reshape(-1, s) @ np.where(lag >= 0, h[lag], 0.0)).reshape(-1, k, s)
-    if k > 1:
-        # Sub-block j starts in the state (z1, z2) that sub-block j - 1 ends in.
-        # Its zero-input response is z1 g[n + 1] + z2 g[n], with g the impulse
-        # response of z^-1 / A(z) (so g[0] = 0).
-        b1, b2, a1, a2 = coeffs.b1, coeffs.b2, coeffs.a1, coeffs.a2
-        g = _impulse_response((0.0, 1.0, 0.0), a1, a2, s + 1)
-        carry = np.stack((g[1:], g[:-1]))
-        # The state a sub-block ends in, from its last two inputs x0, x1 and
-        # outputs y0, y1: z1 = b2 x0 + b1 x1 - a2 y0 - a1 y1, z2 = b2 x1 - a2 y1.
-        x_map = np.array([[b2, 0.0], [b1, b2]])
-        y_map = np.array([[-a2, 0.0], [-a1, -a2]])
-        x_part = padded.reshape(-1, k, s)[:, :, -2:] @ x_map
-        for j in range(1, k):
-            y[:, j] += (x_part[:, j - 1] + y[:, j - 1, -2:] @ y_map) @ carry
-    # drop the input before the copies so at most two record-sized arrays live
-    del padded
-    y = y.reshape(-1, k * s)[:, :block_size].reshape(-1)
-    return y[: len(x)].copy()
+    op = np.where(lag >= 0, h[lag], 0.0)
+    if s == block_size:
+        return block_product(x, op)
+    y = _carry_sub_blocks(coeffs, whole, op)
+    if len(tail):
+        last = _carry_sub_blocks(coeffs, tail, op)
+        y = np.concatenate((y, last[: len(x) - len(y)]))
+    return y
+
+
+def _carry_sub_blocks(
+    coeffs: BiquadCoeffs, rows: np.ndarray, op: np.ndarray
+) -> np.ndarray:
+    """Filter each row, a block longer than op, as consecutive sub-blocks of
+    len(op) samples, flattened: the zero-state response of every sub-block in
+    one product, then the state each sub-block ends in carried into the next."""
+    n, s = rows.shape[1], len(op)
+    k = -(-n // s)
+    if k * s != n:
+        # causal, so zeros after a block's end leave its outputs unchanged
+        rows = np.pad(rows, ((0, 0), (0, k * s - n)))
+    y = (rows.reshape(-1, s) @ op).reshape(-1, k, s)
+    # Sub-block j starts in the state (z1, z2) that sub-block j - 1 ends in.
+    # Its zero-input response is z1 g[n + 1] + z2 g[n], with g the impulse
+    # response of z^-1 / A(z) (so g[0] = 0).
+    b1, b2, a1, a2 = coeffs.b1, coeffs.b2, coeffs.a1, coeffs.a2
+    g = _impulse_response((0.0, 1.0, 0.0), a1, a2, s + 1)
+    carry = np.stack((g[1:], g[:-1]))
+    # The state a sub-block ends in, from its last two inputs x0, x1 and
+    # outputs y0, y1: z1 = b2 x0 + b1 x1 - a2 y0 - a1 y1, z2 = b2 x1 - a2 y1.
+    x_map = np.array([[b2, 0.0], [b1, b2]])
+    y_map = np.array([[-a2, 0.0], [-a1, -a2]])
+    x_part = rows.reshape(-1, k, s)[:, :, -2:] @ x_map
+    del rows  # a padded copy, dropped before the trim copies y
+    for j in range(1, k):
+        y[:, j] += (x_part[:, j - 1] + y[:, j - 1, -2:] @ y_map) @ carry
+    # a view, not a copy, when the sub-blocks tile the block
+    return y.reshape(-1, k * s)[:, :n].reshape(-1)

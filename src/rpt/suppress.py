@@ -5,7 +5,9 @@ The coefficient view (`make_mask`, `suppress_block`) zeroes their coefficients
 and reconstructs. `run` applies the same operator I - sum of P_m to every
 block: blocks of at most io.DENSE_BLOCK samples as one matrix product with
 P_m = C_m / N, C_m the N x N circulant of the integer Ramanujan sum s_m;
-longer blocks by zeroing the rfft bins of the removed subspaces.
+longer blocks by zeroing the rfft bins of the removed subspaces. It reads the
+whole blocks as a view of the samples, pads only the final partial block, and
+writes one output array.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import DENSE_BLOCK, Signal, blocks
+from .io import DENSE_BLOCK, Signal, block_product, blocks
 from .ramanujan import circulant
 from .transform import (  # ConfigurationError and admissible_hint are re-exported
     CoefficientVector,
@@ -96,12 +98,21 @@ def run(signal: Signal, config: SuppressionConfig) -> Signal:
         op = n * np.eye(n) - sum(
             np.tile(circulant(m).entries, (n // m, n // m)) for m in targets
         )
-        cleaned = blocks(signal.samples, n) @ op  # op is symmetric
+        cleaned = block_product(signal.samples, op)  # op is symmetric
         cleaned /= n
     else:
         # zeroing a subspace's coefficients zeroes its DFT bins, block by block
-        spectra = np.fft.rfft(blocks(signal.samples, n), axis=1)
-        spectra[:, np.isin(bin_periods(n)[: spectra.shape[1]], list(targets))] = 0.0
-        cleaned = np.fft.irfft(spectra, n=n, axis=1)
-        del spectra  # at most two record-sized arrays live at the copy
-    return Signal(samples=cleaned.reshape(-1)[: len(signal)].copy(), fs=signal.fs)
+        removed = np.isin(bin_periods(n)[: n // 2 + 1], list(targets))
+
+        def zero_bins(rows: np.ndarray) -> np.ndarray:
+            spectra = np.fft.rfft(rows, axis=1)
+            spectra[:, removed] = 0.0
+            return np.fft.irfft(spectra, n=n, axis=1).reshape(-1)
+
+        whole, tail = blocks(signal.samples, n)
+        cleaned = zero_bins(whole)
+        if len(tail):
+            cleaned = np.concatenate(
+                (cleaned, zero_bins(tail)[: len(signal) - len(cleaned)])
+            )
+    return Signal(samples=cleaned, fs=signal.fs)

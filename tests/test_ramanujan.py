@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rpt.ramanujan import (
+    CirculantDm,
     circulant,
     divisors,
     euler_totient,
@@ -178,3 +179,17 @@ class TestFactorization:
     def test_all_small_m(self):
         for m in range(1, 33):
             assert verify_factorization(m, 1e-9)
+
+
+def test_factorization_default_tolerance_notices_a_1e6_error(monkeypatch):
+    import rpt.ramanujan
+
+    true_circulant = rpt.ramanujan.circulant
+    assert verify_factorization(12)
+    monkeypatch.setattr(
+        rpt.ramanujan,
+        "circulant",
+        lambda m: CirculantDm(entries=true_circulant(m).entries + 1e-6),
+    )
+    assert not verify_factorization(12)
+    assert verify_factorization(12, tol=1e-3)
