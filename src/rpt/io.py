@@ -16,7 +16,8 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Signal:
-    """Uniformly sampled real signal with its sampling rate in Hz."""
+    """Uniformly sampled real signal with its sampling rate in Hz. `samples` is
+    a read-only view of the array it is given, not a copy."""
 
     samples: np.ndarray
     fs: float
@@ -26,6 +27,7 @@ class Signal:
             raise ValueError(f"sampling rate {self.fs} must be positive and finite")
         if not np.all(np.isfinite(self.samples)):
             raise DataFormatError("signal contains NaN or Inf samples")
+        object.__setattr__(self, "samples", self.samples.view())
         self.samples.setflags(write=False)
 
     def __len__(self) -> int:

@@ -4,10 +4,10 @@ from each block.
 The coefficient view (`make_mask`, `suppress_block`) zeroes their coefficients
 and reconstructs. `run` applies the same operator I - sum of P_m to every
 block: blocks of at most io.DENSE_BLOCK samples as one matrix product with
-P_m = C_m / N, C_m the N x N circulant of the integer Ramanujan sum s_m;
-longer blocks by zeroing the rfft bins of the removed subspaces. It reads the
-whole blocks as a view of the samples, pads only the final partial block, and
-writes one output array.
+P_m = C_m / N, C_m the m x m circulant of the integer Ramanujan sum s_m tiled
+N / m times each way; longer blocks by subtracting the period-m part of their
+fold to length m, tiled (transform.period_part). It views the whole blocks,
+pads only the final partial block, and writes one output array.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from .transform import (  # ConfigurationError and admissible_hint are re-export
     ConfigurationError,
     TransformPlan,
     admissible_hint,
-    bin_periods,
     forward,
     inverse,
+    period_part,
     space_for_frequency,
 )
 
@@ -101,18 +101,15 @@ def run(signal: Signal, config: SuppressionConfig) -> Signal:
         cleaned = block_product(signal.samples, op)  # op is symmetric
         cleaned /= n
     else:
-        # zeroing a subspace's coefficients zeroes its DFT bins, block by block
-        removed = np.isin(bin_periods(n)[: n // 2 + 1], list(targets))
-
-        def zero_bins(rows: np.ndarray) -> np.ndarray:
-            spectra = np.fft.rfft(rows, axis=1)
-            spectra[:, removed] = 0.0
-            return np.fft.irfft(spectra, n=n, axis=1).reshape(-1)
-
+        # all parts first: the output is allocated after a period-N spectrum is freed
         whole, tail = blocks(signal.samples, n)
-        cleaned = zero_bins(whole)
-        if len(tail):
-            cleaned = np.concatenate(
-                (cleaned, zero_bins(tail)[: len(signal) - len(cleaned)])
-            )
+        parts = [(m, period_part(whole, m), period_part(tail, m)) for m in targets]
+        cleaned = np.empty(len(signal))
+        body = cleaned[: whole.size].reshape(whole.shape)
+        body[...] = whole
+        for m, of_whole, of_tail in parts:
+            for rows, part in ((body, of_whole), (tail, of_tail)):
+                periods = rows.reshape(len(rows), n // m, m)
+                periods -= part[:, None]
+        cleaned[whole.size :] = tail.reshape(-1)[: len(signal) - whole.size]
     return Signal(samples=cleaned, fs=signal.fs)

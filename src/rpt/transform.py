@@ -4,10 +4,11 @@ interference frequency to its subspace (or the block sizes that would bind it).
 
 The transform matrix concatenates the shift bases of every divisor of the
 block length. The period-m subspace of a length-N block is exactly the span
-of the DFT bins k with N / gcd(k, N) = m, so projections and energy spectra
-act on groups of DFT bins. The coefficient view (forward/inverse) solves
-each subspace against its closed-form Gram matrix; distinct subspaces are
-mutually orthogonal, so this equals the dense matrix inverse.
+of the DFT bins k with N / gcd(k, N) = m: energy spectra sum groups of DFT
+bins, and projections filter the m-point DFT of the block folded to length m.
+The coefficient view (forward/inverse) solves each subspace against its
+closed-form Gram matrix; distinct subspaces are mutually orthogonal, so this
+equals the dense matrix inverse.
 """
 
 from __future__ import annotations
@@ -102,7 +103,10 @@ def build_plan(n: int) -> TransformPlan:
 
 def bin_periods(n: int) -> np.ndarray:
     """Period n // gcd(k, n) of the subspace holding DFT bin k, k = 0..n-1."""
-    return n // np.gcd(np.arange(n), n)
+    periods = np.empty(n, dtype=np.int64)
+    for d in divisors(n):  # ascending, so the last d written to k is gcd(k, n)
+        periods[::d] = n // d
+    return periods
 
 
 def _check_block(plan: TransformPlan, x: np.ndarray) -> np.ndarray:
@@ -136,16 +140,23 @@ def inverse(plan: TransformPlan, beta: CoefficientVector) -> np.ndarray:
     return plan.basis @ beta.values
 
 
-def project(plan: TransformPlan, x: np.ndarray, m: int) -> np.ndarray:
-    """Orthogonal projection of x onto the period-m subspace.
+def period_part(rows: np.ndarray, m: int) -> np.ndarray:
+    """One period (B x m) of each row's projection onto the period-m subspace,
+    m | N. It reads a row only through its fold, the sum of its N / m length-m
+    segments: the fold's m-point DFT bin j is the row's bin j N / m."""
+    b, n = rows.shape
+    folded = rows if m == n else rows.reshape(b, n // m, m).sum(axis=1)
+    spectrum = np.fft.rfft(folded, axis=1)
+    spectrum *= (bin_periods(m)[: m // 2 + 1] == m) / (n // m)
+    return np.fft.irfft(spectrum, n=m, axis=1)
 
-    Keeps the DFT bins of period m and zeroes the rest.
-    """
+
+def project(plan: TransformPlan, x: np.ndarray, m: int) -> np.ndarray:
+    """Orthogonal projection of x onto the period-m subspace: the period-m part
+    of x's fold to length m, tiled."""
     if m not in plan.layout:
         raise ValueError(f"{m} is not a divisor of block length {plan.n}")
-    spectrum = np.fft.rfft(_check_block(plan, x))
-    spectrum[bin_periods(plan.n)[: len(spectrum)] != m] = 0.0
-    return np.fft.irfft(spectrum, n=plan.n)
+    return np.tile(period_part(_check_block(plan, x)[None], m)[0], plan.n // m)
 
 
 def energy_spectrum(plan: TransformPlan, x: np.ndarray) -> dict[int, float]:

@@ -310,3 +310,11 @@ class TestSynthEcg:
         block = sig.samples[13 * 36 : 14 * 36]
         spec = energy_spectrum(plan, block)
         assert spec[36] / sum(spec.values()) < 0.20
+
+
+def test_signal_views_the_callers_array_without_freezing_it():
+    x = np.ones(3)
+    s = Signal(samples=x, fs=360.0)
+    x[0] = 2
+    assert not s.samples.flags.writeable
+    assert np.shares_memory(s.samples, x)  # a view, not a copy

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rpt.io import Signal
+from rpt.io import DENSE_BLOCK
 from rpt.suppress import (
     ConfigurationError,
     SuppressionConfig,
@@ -281,3 +282,44 @@ def test_run_peak_memory_two_records(n):
     finally:
         tracemalloc.stop()
     assert peak <= 2.2 * x.nbytes
+
+
+# (block size, fs, interference frequencies, target periods), all past
+# io.DENSE_BLOCK: the long path folds each block to every target period m
+FOLD_CASES = {
+    **{f"fold-{n}": (n, 360.0, (50.0,), {36}) for n in (108, 144, 180, 360, 720)},
+    "two-targets": (360, 360.0, (50.0, 60.0), {36, 6}),
+    "period-N": (100, 1000.0, (10.0,), {100}),
+    "period-1": (360, 360.0, (0.0,), {1}),
+}
+
+
+@pytest.mark.parametrize(
+    "n, fs, freqs, periods", FOLD_CASES.values(), ids=FOLD_CASES.keys()
+)
+def test_long_path_matches_coefficient_view(n, fs, freqs, periods):
+    cfg = SuppressionConfig(block_size=n, interference_freqs=freqs, fs=fs)
+    assert n > DENSE_BLOCK and cfg.target_spaces() == periods
+    size = 2 * n + n // 3 + 1  # never a multiple of n
+    x = np.random.default_rng(n).normal(size=size) + 1.0
+    x += sum(tone(size, f0=f, fs=fs) for f in freqs)
+    out = run(Signal(samples=x, fs=fs), cfg).samples
+    assert np.abs(out - coefficient_view(x, cfg)).max() <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize(
+    "n, f0, records", [(360, 50.0, 1.3), (1440, 50.0, 1.3), (7200, 50.05, 2.2)]
+)
+def test_long_path_peak_memory(n, f0, records):
+    """The output and each block's fold: one record while the period m < N;
+    a period-N target (50.05 Hz binds to 7200) adds one record-sized part."""
+    x = np.random.default_rng(17).normal(size=524_288)
+    sig = Signal(samples=x, fs=360.0)
+    cfg = SuppressionConfig(block_size=n, interference_freqs=(f0,), fs=360.0)
+    tracemalloc.start()
+    try:
+        run(sig, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= records * x.nbytes

@@ -18,6 +18,7 @@ from rpt.transform import (
     space_for_frequency,
 )
 from rpt.ramanujan import divisors, euler_totient, shift_basis
+from rpt.transform import bin_periods
 
 T4 = np.array(
     [
@@ -272,3 +273,8 @@ class TestSpaceForFrequency:
     def test_rejects_above_nyquist(self):
         with pytest.raises(ValueError):
             space_for_frequency(200, 360, 36)
+
+
+def test_bin_periods_is_n_over_gcd():
+    for n in [*range(1, 200), 360, 1440, 5040, 7200, 7919]:
+        assert np.array_equal(bin_periods(n), n // np.gcd(np.arange(n), n)), n
