@@ -34,10 +34,14 @@ class Signal:
         return len(self.samples)
 
 
-# Longest block (notch: sub-block) whose per-block operator is applied as one
-# N x N matrix product. Longer blocks zero rfft bins (suppression) or carry the
-# biquad state between sub-blocks (notch); 72 covers the paper's block sizes
-# 36 and 72.
+# The cut between applying a block operator as one dense matrix product and
+# its long-block path. Suppression multiplies each block of at most 72 samples
+# by one integer N x N matrix; a longer block subtracts, for each target period
+# m, the period-m part of its fold to length m, tiled. The notch multiplies
+# sub-blocks of min(N, 72) samples by one Toeplitz matrix (a block's last
+# sub-block is shorter when 72 does not divide N) and carries the biquad state
+# from each sub-block into the next. 72 covers the paper's block sizes 36 and
+# 72 with one product per block.
 DENSE_BLOCK = 72
 
 
@@ -45,8 +49,9 @@ def blocks(samples: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The whole length-n blocks of samples, one per row, as a view of them,
     and the final partial block zero-padded to n, as a (0 or 1) x n array.
 
-    Only the partial block is copied; callers write one output array of
-    len(samples), whose tail is that block's output trimmed.
+    Only the partial block is copied. Suppression writes its output, trimmed,
+    into the tail of one output array of len(samples); the notch, a causal
+    filter, reads the partial block unpadded and needs only the whole blocks.
     """
     if n < 1:
         raise ValueError(f"block length must be positive, got {n}")
@@ -55,17 +60,6 @@ def blocks(samples: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     tail = np.zeros((int(whole < len(samples)), n))
     tail.reshape(-1)[: len(samples) - whole] = samples[whole:]
     return samples[:whole].reshape(-1, n), tail
-
-
-def block_product(samples: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Each length-N block of samples, as a row, times the N x N op, written
-    into one array of len(samples): the whole blocks in one product, then the
-    zero-padded final block in a one-row product, trimmed."""
-    whole, tail = blocks(samples, len(op))
-    out = np.empty(len(samples))
-    np.matmul(whole, op, out=out[: whole.size].reshape(whole.shape))
-    out[whole.size :] = (tail @ op).reshape(-1)[: len(samples) - whole.size]
-    return out
 
 
 def read_csv(path: str | Path, column: int = 0, fs: float = 360.0) -> Signal:

@@ -3,11 +3,14 @@ block-wise filtering with per-block state reset.
 
 With the state reset at each block, the notch is a linear operator per block:
 a causal convolution with the biquad's impulse response cut to the block
-length. It is applied to sub-blocks of at most io.DENSE_BLOCK samples as one
-matrix product with a lower-triangular Toeplitz matrix; the biquad's two-value
-state then carries the response from each sub-block into the next. Whole
-blocks are read as a view of the input; only the final partial block is
-zero-padded, and its output is trimmed into the one output array.
+length. Each block is filtered as consecutive sub-blocks of min(N,
+io.DENSE_BLOCK) samples, the last one shorter when io.DENSE_BLOCK does not
+divide N: each sub-block's zero-state response is one matrix product with a
+lower-triangular Toeplitz matrix, and the biquad's two-value state carries the
+response from each sub-block into the next. Whole blocks are read as a view of
+the input and the final partial block as it is, with no padding, since zeros
+after the record's end cannot change a causal filter's output; every product
+writes into a slice of the one output array.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import DENSE_BLOCK, block_product, blocks
+from .io import DENSE_BLOCK, blocks
 
 
 @dataclass(frozen=True)
@@ -111,49 +114,45 @@ def filter_block(coeffs: BiquadCoeffs, x: np.ndarray) -> np.ndarray:
 def filter_blocked(coeffs: BiquadCoeffs, x: np.ndarray, block_size: int) -> np.ndarray:
     """Filter in consecutive blocks, resetting state at each block boundary.
 
-    The final partial block is zero-padded, filtered, and trimmed, matching
+    The final partial block is filtered as it is. The filter is causal, so
+    its output equals that of the block zero-padded to block_size and trimmed,
     the subspace-suppression blocking.
     """
-    whole, tail = blocks(x, block_size)  # rejects block_size < 1
+    x = np.asarray(x, dtype=float)
+    whole, _ = blocks(x, block_size)  # rejects block_size < 1
     s = min(block_size, DENSE_BLOCK)
     lag = np.arange(s) - np.arange(s)[:, None]
-    h = _impulse_response(coeffs.b, coeffs.a1, coeffs.a2, s)
+    b0, b1, b2, a1, a2 = coeffs.b0, coeffs.b1, coeffs.b2, coeffs.a1, coeffs.a2
+    h = _impulse_response((b0, b1, b2), a1, a2, s)  # floats: faster than an array
     # zero-state response of every sub-block: row @ op, op[j, i] = h[i - j]
     op = np.where(lag >= 0, h[lag], 0.0)
-    if s == block_size:
-        return block_product(x, op)
-    y = _carry_sub_blocks(coeffs, whole, op)
-    if len(tail):
-        last = _carry_sub_blocks(coeffs, tail, op)
-        y = np.concatenate((y, last[: len(x) - len(y)]))
-    return y
-
-
-def _carry_sub_blocks(
-    coeffs: BiquadCoeffs, rows: np.ndarray, op: np.ndarray
-) -> np.ndarray:
-    """Filter each row, a block longer than op, as consecutive sub-blocks of
-    len(op) samples, flattened: the zero-state response of every sub-block in
-    one product, then the state each sub-block ends in carried into the next."""
-    n, s = rows.shape[1], len(op)
-    k = -(-n // s)
-    if k * s != n:
-        # causal, so zeros after a block's end leave its outputs unchanged
-        rows = np.pad(rows, ((0, 0), (0, k * s - n)))
-    y = (rows.reshape(-1, s) @ op).reshape(-1, k, s)
     # Sub-block j starts in the state (z1, z2) that sub-block j - 1 ends in.
     # Its zero-input response is z1 g[n + 1] + z2 g[n], with g the impulse
     # response of z^-1 / A(z) (so g[0] = 0).
-    b1, b2, a1, a2 = coeffs.b1, coeffs.b2, coeffs.a1, coeffs.a2
     g = _impulse_response((0.0, 1.0, 0.0), a1, a2, s + 1)
     carry = np.stack((g[1:], g[:-1]))
     # The state a sub-block ends in, from its last two inputs x0, x1 and
     # outputs y0, y1: z1 = b2 x0 + b1 x1 - a2 y0 - a1 y1, z2 = b2 x1 - a2 y1.
     x_map = np.array([[b2, 0.0], [b1, b2]])
     y_map = np.array([[-a2, 0.0], [-a1, -a2]])
-    x_part = rows.reshape(-1, k, s)[:, :, -2:] @ x_map
-    del rows  # a padded copy, dropped before the trim copies y
-    for j in range(1, k):
-        y[:, j] += (x_part[:, j - 1] + y[:, j - 1, -2:] @ y_map) @ carry
-    # a view, not a copy, when the sub-blocks tile the block
-    return y.reshape(-1, k * s)[:, :n].reshape(-1)
+    y = np.empty(len(x))
+    for rows, out in (
+        (whole, y[: whole.size].reshape(whole.shape)),
+        (x[whole.size :][None], y[whole.size :][None]),
+    ):
+        _filter_rows(rows, out, op, x_map, y_map, carry)
+    return y
+
+
+def _filter_rows(rows, out, op, x_map, y_map, carry) -> None:
+    """Filter each row into the same row of out, as consecutive sub-blocks of
+    len(op) samples, the last one shorter when len(op) does not divide the
+    row: each sub-block's zero-state response, plus, after the first, the
+    response to the state the sub-block before it ends in."""
+    n, s = rows.shape[1], len(op)
+    for j in range(0, n, s):
+        w = min(s, n - j)
+        np.matmul(rows[:, j : j + w], op[:w, :w], out=out[:, j : j + w])
+        if j:
+            state = rows[:, j - 2 : j] @ x_map + out[:, j - 2 : j] @ y_map
+            out[:, j : j + w] += state @ carry[:, :w]

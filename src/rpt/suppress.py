@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import DENSE_BLOCK, Signal, block_product, blocks
+from .io import DENSE_BLOCK, Signal, blocks
 from .ramanujan import circulant
 from .transform import (  # ConfigurationError and admissible_hint are re-exported
     CoefficientVector,
@@ -92,17 +92,20 @@ def run(signal: Signal, config: SuppressionConfig) -> Signal:
         )
     n = config.block_size
     targets = config.target_spaces()
+    whole, tail = blocks(signal.samples, n)
     if n <= DENSE_BLOCK:
         # N (I - sum of P_m) has integer entries; dividing after the product,
         # not inside it, overflows on the inputs the FFT's forward pass does
         op = n * np.eye(n) - sum(
             np.tile(circulant(m).entries, (n // m, n // m)) for m in targets
         )
-        cleaned = block_product(signal.samples, op)  # op is symmetric
-        cleaned /= n
+        cleaned = np.empty(len(signal))
+        body = cleaned[: whole.size].reshape(whole.shape)
+        np.matmul(whole, op, out=body)  # op is symmetric
+        body /= n
+        tail = tail @ op / n
     else:
         # all parts first: the output is allocated after a period-N spectrum is freed
-        whole, tail = blocks(signal.samples, n)
         parts = [(m, period_part(whole, m), period_part(tail, m)) for m in targets]
         cleaned = np.empty(len(signal))
         body = cleaned[: whole.size].reshape(whole.shape)
@@ -111,5 +114,5 @@ def run(signal: Signal, config: SuppressionConfig) -> Signal:
             for rows, part in ((body, of_whole), (tail, of_tail)):
                 periods = rows.reshape(len(rows), n // m, m)
                 periods -= part[:, None]
-        cleaned[whole.size :] = tail.reshape(-1)[: len(signal) - whole.size]
+    cleaned[whole.size :] = tail.reshape(-1)[: len(signal) - whole.size]
     return Signal(samples=cleaned, fs=signal.fs)

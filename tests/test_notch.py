@@ -162,3 +162,38 @@ def test_peak_memory_two_records(coeffs):
     finally:
         tracemalloc.stop()
     assert peak <= 2.1 * x.nbytes
+
+
+@pytest.mark.parametrize("block_size", [108, 144, 145, 180])  # last sub-block 36, 72, 1, 36
+@pytest.mark.parametrize(
+    "extra",
+    [(0, 1), (1, -1), (1, 0), (3, 0), (3, 1)],
+    ids=["1", "N-1", "N", "3N", "3N+1"],
+)
+@pytest.mark.parametrize("c", list(_designs()), ids=lambda c: f"{c.f0}Hz-Q{c.q}")
+def test_short_last_sub_block_matches_lfilter(c, block_size, extra):
+    """Blocks that io.DENSE_BLOCK does not divide, at record lengths that give
+    every block, the partial final one included, a short last sub-block."""
+    lfilter = pytest.importorskip("scipy.signal").lfilter
+    length = extra[0] * block_size + extra[1]
+    x = ORACLE_RECORD[:length]
+    padded = np.zeros(-(-length // block_size) * block_size)
+    padded[:length] = x
+    want = lfilter(c.b, c.a, padded.reshape(-1, block_size), axis=1)
+    got = filter_blocked(c, x, block_size)
+    assert got.shape == x.shape
+    assert np.abs(got - want.reshape(-1)[:length]).max() <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("block_size", [108, 180, 360, 1440])
+def test_long_block_peak_memory(coeffs, block_size):
+    """The output and one sub-block's carried-state term: no padded copy of
+    the blocks and no second output for the partial final block."""
+    x = np.random.default_rng(17).normal(size=524_288)
+    tracemalloc.start()
+    try:
+        filter_blocked(coeffs, x, block_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * x.nbytes
