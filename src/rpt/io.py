@@ -44,6 +44,12 @@ class Signal:
 # 72 with one product per block.
 DENSE_BLOCK = 72
 
+# Entries kept by each cache of per-size constants (plans, bin periods, block
+# operators), which depend only on the block size and the operator's design.
+# It covers the CLI's default comparison grid and every benchmark workload; a
+# sweep over more sizes evicts the least recently used instead of growing.
+_CACHE_SIZE = 16
+
 
 def blocks(samples: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The whole length-n blocks of samples, one per row, as a view of them,

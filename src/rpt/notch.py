@@ -10,17 +10,19 @@ lower-triangular Toeplitz matrix, and the biquad's two-value state carries the
 response from each sub-block into the next. Whole blocks are read as a view of
 the input and the final partial block as it is, with no padding, since zeros
 after the record's end cannot change a causal filter's output; every product
-writes into a slice of the one output array.
+writes into a slice of the one output array. The sub-block matrices depend
+only on the design and the sub-block length, so they are built once for each.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .io import DENSE_BLOCK, blocks
+from .io import _CACHE_SIZE, DENSE_BLOCK, blocks
 
 
 @dataclass(frozen=True)
@@ -121,8 +123,26 @@ def filter_blocked(coeffs: BiquadCoeffs, x: np.ndarray, block_size: int) -> np.n
     x = np.asarray(x, dtype=float)
     whole, _ = blocks(x, block_size)  # rejects block_size < 1
     s = min(block_size, DENSE_BLOCK)
-    lag = np.arange(s) - np.arange(s)[:, None]
     b0, b1, b2, a1, a2 = coeffs.b0, coeffs.b1, coeffs.b2, coeffs.a1, coeffs.a2
+    ops = _sub_block_operators(b0, b1, b2, a1, a2, s)
+    y = np.empty(len(x))
+    for rows, out in (
+        (whole, y[: whole.size].reshape(whole.shape)),
+        (x[whole.size :][None], y[whole.size :][None]),
+    ):
+        _filter_rows(rows, out, *ops)
+    return y
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _sub_block_operators(
+    b0: float, b1: float, b2: float, a1: float, a2: float, s: int
+) -> tuple[np.ndarray, ...]:
+    """The read-only matrices that filter sub-blocks of s samples, shared by
+    every call with the same design and s: the zero-state Toeplitz operator,
+    the two maps from a sub-block's last inputs and outputs to the state it
+    ends in, and the response to that state."""
+    lag = np.arange(s) - np.arange(s)[:, None]
     h = _impulse_response((b0, b1, b2), a1, a2, s)  # floats: faster than an array
     # zero-state response of every sub-block: row @ op, op[j, i] = h[i - j]
     op = np.where(lag >= 0, h[lag], 0.0)
@@ -135,13 +155,9 @@ def filter_blocked(coeffs: BiquadCoeffs, x: np.ndarray, block_size: int) -> np.n
     # outputs y0, y1: z1 = b2 x0 + b1 x1 - a2 y0 - a1 y1, z2 = b2 x1 - a2 y1.
     x_map = np.array([[b2, 0.0], [b1, b2]])
     y_map = np.array([[-a2, 0.0], [-a1, -a2]])
-    y = np.empty(len(x))
-    for rows, out in (
-        (whole, y[: whole.size].reshape(whole.shape)),
-        (x[whole.size :][None], y[whole.size :][None]),
-    ):
-        _filter_rows(rows, out, op, x_map, y_map, carry)
-    return y
+    for a in (op, x_map, y_map, carry):
+        a.setflags(write=False)
+    return op, x_map, y_map, carry
 
 
 def _filter_rows(rows, out, op, x_map, y_map, carry) -> None:

@@ -7,16 +7,19 @@ block: blocks of at most io.DENSE_BLOCK samples as one matrix product with
 P_m = C_m / N, C_m the m x m circulant of the integer Ramanujan sum s_m tiled
 N / m times each way; longer blocks by subtracting the period-m part of their
 fold to length m, tiled (transform.period_part). It views the whole blocks,
-pads only the final partial block, and writes one output array.
+pads only the final partial block, and writes one output array. The dense
+operator depends only on N and the target periods, so it is built once for
+each pair.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .io import DENSE_BLOCK, Signal, blocks
+from .io import _CACHE_SIZE, DENSE_BLOCK, Signal, blocks
 from .ramanujan import circulant
 from .transform import (  # ConfigurationError and admissible_hint are re-exported
     CoefficientVector,
@@ -94,11 +97,7 @@ def run(signal: Signal, config: SuppressionConfig) -> Signal:
     targets = config.target_spaces()
     whole, tail = blocks(signal.samples, n)
     if n <= DENSE_BLOCK:
-        # N (I - sum of P_m) has integer entries; dividing after the product,
-        # not inside it, overflows on the inputs the FFT's forward pass does
-        op = n * np.eye(n) - sum(
-            np.tile(circulant(m).entries, (n // m, n // m)) for m in targets
-        )
+        op = _dense_operator(n, targets)
         cleaned = np.empty(len(signal))
         body = cleaned[: whole.size].reshape(whole.shape)
         np.matmul(whole, op, out=body)  # op is symmetric
@@ -116,3 +115,17 @@ def run(signal: Signal, config: SuppressionConfig) -> Signal:
                 periods -= part[:, None]
     cleaned[whole.size :] = tail.reshape(-1)[: len(signal) - whole.size]
     return Signal(samples=cleaned, fs=signal.fs)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _dense_operator(n: int, targets: frozenset[int]) -> np.ndarray:
+    """N (I - sum of P_m) over the target periods m, read-only and shared.
+
+    Its entries are integers; dividing by N after the product, not inside it,
+    overflows on the inputs the FFT's forward pass does.
+    """
+    op = n * np.eye(n) - sum(
+        np.tile(circulant(m).entries, (n // m, n // m)) for m in targets
+    )
+    op.setflags(write=False)
+    return op

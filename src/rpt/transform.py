@@ -13,25 +13,30 @@ equals the dense matrix inverse.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
+from .io import _CACHE_SIZE
 from .ramanujan import divisors, euler_totient, shift_basis
 
 
 @dataclass(frozen=True)
 class TransformPlan:
-    """Closed-form layout of the length-n transform: O(n) memory, immutable.
+    """Closed-form layout of the length-n transform: O(n) memory, immutable,
+    so that build_plan can hand the same plan to every caller.
 
     `basis` is assembled from the shift bases on access, for the coefficient view.
     """
 
     n: int
     divisors: tuple[int, ...]
-    layout: dict[int, range]  # divisor -> coefficient index range
+    layout: Mapping[int, range]  # divisor -> coefficient index range, read-only
     norm_scales: np.ndarray  # Euclidean norm of each column
 
     def __post_init__(self):
@@ -82,8 +87,10 @@ class FrequencyNotRepresentable(ConfigurationError):
         )
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def build_plan(n: int) -> TransformPlan:
-    """Divisors, coefficient layout (phi(m) per divisor m) and column norms.
+    """Divisors, coefficient layout (phi(m) per divisor m) and column norms,
+    built once per n and shared.
 
     No inverse is stored: the period-m Gram matrix has the closed form
     N * s_m(i - j), i, j < phi(m), which forward() reads off the shift basis.
@@ -96,16 +103,21 @@ def build_plan(n: int) -> TransformPlan:
     divs = tuple(divisors(n))
     phis = [euler_totient(m) for m in divs]
     starts = np.cumsum([0, *phis]).tolist()
-    layout = {m: range(a, a + phi) for m, a, phi in zip(divs, starts, phis)}
+    layout = MappingProxyType(
+        {m: range(a, a + phi) for m, a, phi in zip(divs, starts, phis)}
+    )
     norms = np.sqrt(n * np.array(phis))
     return TransformPlan(n, divs, layout, norm_scales=np.repeat(norms, phis))
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def bin_periods(n: int) -> np.ndarray:
-    """Period n // gcd(k, n) of the subspace holding DFT bin k, k = 0..n-1."""
+    """Period n // gcd(k, n) of the subspace holding DFT bin k, k = 0..n-1
+    (read-only: built once per n and shared)."""
     periods = np.empty(n, dtype=np.int64)
     for d in divisors(n):  # ascending, so the last d written to k is gcd(k, n)
         periods[::d] = n // d
+    periods.setflags(write=False)
     return periods
 
 
