@@ -38,10 +38,10 @@ class Signal:
 # its long-block path. Suppression multiplies each block of at most 72 samples
 # by one integer N x N matrix; a longer block subtracts, for each target period
 # m, the period-m part of its fold to length m, tiled. The notch multiplies
-# sub-blocks of min(N, 72) samples by one Toeplitz matrix (a block's last
-# sub-block is shorter when 72 does not divide N) and carries the biquad state
-# from each sub-block into the next. 72 covers the paper's block sizes 36 and
-# 72 with one product per block.
+# each block of at most 72 samples by one Toeplitz matrix; a longer block is
+# filtered as sub-blocks of 72 // 2 = 36 samples with the biquad state carried
+# across them. 72 covers the paper's block sizes 36 and 72 with one product
+# per block.
 DENSE_BLOCK = 72
 
 # Entries kept by each cache of per-size constants (plans, bin periods, block

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rpt.io import _CACHE_SIZE, Signal
+from rpt.notch import _state_maps
 from rpt.notch import _sub_block_operators, design_notch, filter_blocked
 from rpt.suppress import SuppressionConfig, _dense_operator, run
 from rpt.transform import bin_periods, build_plan, energy_spectrum
@@ -123,3 +124,20 @@ def test_caches_stay_within_the_bound_after_100_sizes():
         info = cache.cache_info()
         assert info.maxsize == _CACHE_SIZE and info.currsize == _CACHE_SIZE
         assert info.misses >= 72  # sizes up to io.DENSE_BLOCK for the operators
+
+
+def test_state_map_cache_stays_within_the_bound_after_100_designs():
+    _state_maps.cache_clear()
+    for q in np.linspace(0.5, 50.0, 100):
+        filter_blocked(design_notch(50.0, FS, q), X[:800], 360)
+    info = _state_maps.cache_info()
+    assert info.maxsize == _CACHE_SIZE and info.currsize == _CACHE_SIZE
+
+
+@pytest.mark.parametrize("index", range(2))
+def test_writing_into_a_state_map_raises(index):
+    c = design_notch(50.0, FS, 1.0)
+    filter_blocked(c, X, 360)
+    array = _state_maps(c.b0, c.b1, c.b2, c.a1, c.a2, 36)[index]
+    with pytest.raises(ValueError, match="read-only"):
+        array[(0,) * array.ndim] = 1.0

@@ -197,3 +197,62 @@ def test_long_block_peak_memory(coeffs, block_size):
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * x.nbytes
+
+
+LONG_QS = (0.5, 1.0, 30.0, 1000.0)
+LONG_RECORD = np.random.default_rng(18).normal(size=108_000)
+
+
+@pytest.mark.parametrize("block_size", [2305, 2340, 7200])  # 2305 = 36 * 64 + 1
+@pytest.mark.parametrize("tail", [0, 1037], ids=["whole", "partial"])
+@pytest.mark.parametrize("q", LONG_QS)
+def test_blocks_of_several_sub_block_groups_match_lfilter(q, block_size, tail):
+    """Blocks whose sub-blocks take more than one product to get their start
+    states, so the state is carried from one group of sub-blocks to the next."""
+    lfilter = pytest.importorskip("scipy.signal").lfilter
+    c = design_notch(50.0, 360.0, q)
+    length = 3 * block_size + tail
+    x = LONG_RECORD[:length]
+    padded = np.zeros(-(-length // block_size) * block_size)
+    padded[:length] = x
+    want = lfilter(c.b, c.a, padded.reshape(-1, block_size), axis=1)
+    got = filter_blocked(c, x, block_size)
+    assert got.shape == x.shape
+    assert np.abs(got - want.reshape(-1)[:length]).max() <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("length", [108_000, 107_999])  # the second one padded
+@pytest.mark.parametrize("q", LONG_QS)
+def test_filter_block_on_a_long_record_matches_lfilter(q, length):
+    """One block longer than a tile, with the state carried between tiles."""
+    lfilter = pytest.importorskip("scipy.signal").lfilter
+    c = design_notch(50.0, 360.0, q)
+    x = LONG_RECORD[:length]
+    got = filter_block(c, x)
+    assert np.abs(got - lfilter(c.b, c.a, x)).max() <= 1e-12 * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("block_size", [2340, 7200])
+def test_several_group_block_peak_memory(coeffs, block_size):
+    """Temporaries stay within one tile of whole blocks."""
+    x = np.random.default_rng(17).normal(size=524_288)
+    tracemalloc.start()
+    try:
+        filter_blocked(coeffs, x, block_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * x.nbytes
+
+
+def test_filter_block_peak_memory(coeffs):
+    """A block longer than a tile is filtered a few groups of sub-blocks at a
+    time, the last tile zero-padded: 36 does not divide the length."""
+    x = np.random.default_rng(17).normal(size=524_287)
+    tracemalloc.start()
+    try:
+        filter_block(coeffs, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * x.nbytes
