@@ -1,5 +1,7 @@
 """Per-block squared Euclidean error, total error, and the comparison grid
-between subspace suppression and the notch baseline."""
+between subspace suppression and the notch baseline. The grid applies the
+row functions that suppress.run and notch.filter_blocked call to the padded
+rows of the contaminated record, into one buffer per block size."""
 
 from __future__ import annotations
 
@@ -9,8 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from .io import DataFormatError, Signal, blocks, table
-from .notch import design_notch, filter_blocked
-from .suppress import SuppressionConfig, run
+from .notch import _filter_rows, design_notch
+from .suppress import SuppressionConfig, _suppress_rows
 
 
 @dataclass(frozen=True)
@@ -65,22 +67,28 @@ def compare_grid(
     """Run both suppression methods at each block size and score against clean.
 
     The final partial block is zero-padded on both the contaminated input and
-    the clean reference, and scored over the whole padded block. A total error
+    the clean reference, and scored over the whole padded block: each method
+    writes its output and then its error into the same buffer. A total error
     past the float range raises DataFormatError.
     """
     if len(clean) != len(contaminated) or clean.fs != contaminated.fs:
         raise ValueError("clean and contaminated signals must match in length and fs")
+    if len(clean) == 0:
+        raise ValueError("empty signal")
     reports = []
     for n in block_sizes:
-        clean_blocks = _padded(clean.samples, n)
-        dirty = _padded(contaminated.samples, n).reshape(-1)
-        cfg = SuppressionConfig(block_size=n, interference_freqs=(f0,), fs=clean.fs)
-        rpt_out = run(Signal(samples=dirty, fs=contaminated.fs), cfg).samples
-        notch_out = filter_blocked(design_notch(f0, clean.fs, q), dirty, n)
-
-        for method, recon in (("rpt", rpt_out), ("notch", notch_out)):
-            d = clean_blocks - recon.reshape(-1, n)
-            report = SuppressionReport(n, method, np.einsum("ij,ij->i", d, d))
+        clean_rows = _padded(clean.samples, n)
+        dirty_rows = _padded(contaminated.samples, n)
+        targets = SuppressionConfig(n, (f0,), clean.fs).target_spaces()
+        coeffs = design_notch(f0, clean.fs, q)
+        recon = np.empty(dirty_rows.shape)  # each method's output, then its error
+        for method, apply in (
+            ("rpt", lambda: _suppress_rows(dirty_rows, recon, targets)),
+            ("notch", lambda: _filter_rows(dirty_rows, recon, coeffs, n)),
+        ):
+            apply()
+            np.subtract(clean_rows, recon, out=recon)
+            report = SuppressionReport(n, method, np.einsum("ij,ij->i", recon, recon))
             if not np.isfinite(report.total):  # einsum sets no overflow flag
                 raise DataFormatError(
                     f"{method} total error at block size {n} overflows the float range"

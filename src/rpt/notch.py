@@ -128,17 +128,14 @@ def filter_blocked(coeffs: BiquadCoeffs, x: np.ndarray, block_size: int) -> np.n
     the subspace-suppression blocking.
     """
     x = np.asarray(x, dtype=float)
-    whole, _ = blocks(x, block_size)  # rejects block_size < 1
-    # The zero-state product costs s multiply-adds a sample; 36 was among the
-    # fastest of 24, 36, 48 and 72 at N = 360 to 1440.
-    s = block_size if block_size <= DENSE_BLOCK else DENSE_BLOCK // 2
-    design = (coeffs.b0, coeffs.b1, coeffs.b2, coeffs.a1, coeffs.a2, s)
+    # only whole blocks, so that blocks pads none; it rejects block_size < 1
+    whole, _ = blocks(x[: len(x) - len(x) % max(block_size, 1)], block_size)
     y = np.empty(len(x))
     for rows, out in (
         (whole, y[: whole.size].reshape(whole.shape)),
         (x[whole.size :][None], y[whole.size :][None]),
     ):
-        _filter_rows(rows, out, design)
+        _filter_rows(rows, out, coeffs, block_size)
     return y
 
 
@@ -194,14 +191,18 @@ def _state_maps(
     return end, start
 
 
-def _filter_rows(rows, out, design) -> None:
-    """Filter each row into the same row of out, as sub-blocks of s samples,
-    one tile at a time: whole rows, or whole groups of sub-blocks of a longer
-    row, with the state carried from tile to tile. A tile is zero-padded to
-    whole sub-blocks when s does not divide it. Rows of at most s samples
-    take one product and no carry."""
+def _filter_rows(rows, out, coeffs: BiquadCoeffs, block_size: int) -> None:
+    """Filter each row, a block or a final partial block, into the same row
+    of out, as sub-blocks of s samples, one tile at a time: whole rows, or
+    whole groups of sub-blocks of a longer row, with the state carried from
+    tile to tile. A tile is zero-padded to whole sub-blocks when s does not
+    divide it. Rows of at most s samples take one product and no carry."""
+    # The zero-state product costs s multiply-adds a sample; 36 was among the
+    # fastest of 24, 36, 48 and 72 at N = 360 to 1440.
+    s = block_size if block_size <= DENSE_BLOCK else DENSE_BLOCK // 2
+    design = (coeffs.b0, coeffs.b1, coeffs.b2, coeffs.a1, coeffs.a2, s)
     op, _, _, carry = _sub_block_operators(*design)
-    n, s = rows.shape[1], len(op)
+    n = rows.shape[1]
     # a tile: step whole rows, or span samples (whole groups) of a longer row
     span = max(1, min(n, _TILE // (_GROUP * s) * _GROUP * s))
     step = max(1, _TILE // span)

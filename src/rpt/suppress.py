@@ -2,14 +2,15 @@
 from each block.
 
 The coefficient view (`make_mask`, `suppress_block`) zeroes their coefficients
-and reconstructs. `run` applies the same operator I - sum of P_m to every
-block: blocks of at most io.DENSE_BLOCK samples as one matrix product with
-P_m = C_m / N, C_m the m x m circulant of the integer Ramanujan sum s_m tiled
-N / m times each way; longer blocks by subtracting the period-m part of their
-fold to length m, tiled (transform.period_part). It views the whole blocks,
-pads only the final partial block, and writes one output array. The dense
-operator depends only on N and the target periods, so it is built once for
-each pair.
+and reconstructs. `_suppress_rows` writes the same operator I - sum of P_m,
+applied to each row of blocks, into a given output: blocks of at most
+io.DENSE_BLOCK samples as one matrix product with P_m = C_m / N, C_m the m x m
+circulant of the integer Ramanujan sum s_m tiled N / m times each way; longer
+blocks, a tile of rows at a time, as the input rows minus the period-m part of
+their fold to length m, tiled (transform.period_part). `run` calls it on a
+view of the whole blocks and on the zero-padded final block, and
+metrics.compare_grid on the padded rows it scores. The dense operator depends
+only on N and the target periods, so it is built once for each pair.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ from .transform import (  # ConfigurationError and admissible_hint are re-export
     period_part,
     space_for_frequency,
 )
+
+# Samples of whole blocks folded together, which bounds the long path's
+# temporaries; 108 000 samples are one tile at any N.
+_TILE = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -93,28 +98,34 @@ def run(signal: Signal, config: SuppressionConfig) -> Signal:
         raise ConfigurationError(
             f"signal fs={signal.fs} differs from configured fs={config.fs}"
         )
-    n = config.block_size
     targets = config.target_spaces()
-    whole, tail = blocks(signal.samples, n)
-    if n <= DENSE_BLOCK:
-        op = _dense_operator(n, targets)
-        cleaned = np.empty(len(signal))
-        body = cleaned[: whole.size].reshape(whole.shape)
-        np.matmul(whole, op, out=body)  # op is symmetric
-        body /= n
-        tail = tail @ op / n
-    else:
-        # all parts first: the output is allocated after a period-N spectrum is freed
-        parts = [(m, period_part(whole, m), period_part(tail, m)) for m in targets]
-        cleaned = np.empty(len(signal))
-        body = cleaned[: whole.size].reshape(whole.shape)
-        body[...] = whole
-        for m, of_whole, of_tail in parts:
-            for rows, part in ((body, of_whole), (tail, of_tail)):
-                periods = rows.reshape(len(rows), n // m, m)
-                periods -= part[:, None]
+    whole, tail = blocks(signal.samples, config.block_size)
+    cleaned = np.empty(len(signal))
+    _suppress_rows(whole, cleaned[: whole.size].reshape(whole.shape), targets)
+    _suppress_rows(tail, tail, targets)
     cleaned[whole.size :] = tail.reshape(-1)[: len(signal) - whole.size]
     return Signal(samples=cleaned, fs=signal.fs)
+
+
+def _suppress_rows(rows: np.ndarray, out: np.ndarray, targets: frozenset[int]) -> None:
+    """Write I - sum of P_m over the target periods m, applied to each row of
+    rows, into the same row of out: a C-contiguous array, or rows itself."""
+    n = rows.shape[1]
+    if n <= DENSE_BLOCK:
+        np.matmul(rows, _dense_operator(n, targets), out=out)  # op is symmetric
+        out /= n
+        return
+    step = max(1, _TILE // n)
+    for i in range(0, len(rows), step):
+        x, y = rows[i : i + step], out[i : i + step]
+        # every part before y is written, so out may be rows
+        parts = [(m, period_part(x, m)) for m in targets]
+        if not parts:
+            y[...] = x
+        for m, part in parts:
+            periods = (len(x), n // m, m)
+            np.subtract(x.reshape(periods), part[:, None], out=y.reshape(periods))
+            x = y
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)

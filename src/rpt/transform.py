@@ -157,7 +157,7 @@ def period_part(rows: np.ndarray, m: int) -> np.ndarray:
     m | N. It reads a row only through its fold, the sum of its N / m length-m
     segments: the fold's m-point DFT bin j is the row's bin j N / m."""
     b, n = rows.shape
-    folded = rows if m == n else rows.reshape(b, n // m, m).sum(axis=1)
+    folded = rows if m == n else np.einsum("ijk->ik", rows.reshape(b, n // m, m))
     spectrum = np.fft.rfft(folded, axis=1)
     spectrum *= (bin_periods(m)[: m // 2 + 1] == m) / (n // m)
     return np.fft.irfft(spectrum, n=m, axis=1)

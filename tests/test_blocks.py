@@ -91,3 +91,17 @@ def test_peak_memory_one_record(operator, n):
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * x.nbytes
+
+
+def test_filter_blocked_pads_no_final_block():
+    """One whole block and a one-sample final block: the output alone, as
+    for filter_block on the whole block."""
+    x = np.random.default_rng(17).normal(size=524_288)
+    coeffs = design_notch(50.0, 360.0, 1.0)
+    tracemalloc.start()
+    try:
+        filter_blocked(coeffs, x, 524_287)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * x.nbytes

@@ -323,3 +323,11 @@ def test_long_path_peak_memory(n, f0, records):
     finally:
         tracemalloc.stop()
     assert peak <= records * x.nbytes
+
+
+@pytest.mark.parametrize("n", [36, 360])
+def test_no_interference_frequency_leaves_the_signal(n):
+    cfg = SuppressionConfig(block_size=n, interference_freqs=(), fs=360.0)
+    x = np.random.default_rng(n).normal(size=3 * n + 5)
+    out = run(Signal(samples=x, fs=360.0), cfg).samples
+    assert np.abs(out - x).max() <= 1e-15 * np.abs(x).max()
