@@ -1,5 +1,5 @@
 """Signal ingestion and generation: CSV, MIT-BIH 212-packed binary, synthetic
-ECG fixture, and sinusoidal contamination."""
+ECG fixture, sinusoidal contamination, and a record's blocks and tiles."""
 
 from __future__ import annotations
 
@@ -50,13 +50,15 @@ DENSE_BLOCK = 72
 # sweep over more sizes evicts the least recently used instead of growing.
 _CACHE_SIZE = 16
 
+_TILE = 16_384  # samples in one tile of `tiles`: 128 KiB, which stays in cache
+
 
 def blocks(samples: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The whole length-n blocks of samples, one per row, as a view of them,
     and the final partial block zero-padded to n, as a (0 or 1) x n array.
 
-    Only the partial block is copied. Suppression writes its output, trimmed,
-    into the tail of one output array of len(samples); the notch, a causal
+    Only the partial block is copied. For long blocks, suppression writes its
+    output, trimmed, into the tail of one output array; the notch, a causal
     filter, reads the partial block unpadded and needs only the whole blocks.
     """
     if n < 1:
@@ -66,6 +68,25 @@ def blocks(samples: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     tail = np.zeros((int(whole < len(samples)), n))
     tail.reshape(-1)[: len(samples) - whole] = samples[whole:]
     return samples[:whole].reshape(-1, n), tail
+
+
+def tiles(samples: np.ndarray, out: np.ndarray, n: int):
+    """(x, y) pairs over the length-n blocks of samples, one per row of x, whose
+    output goes into y. Every tile has _TILE // n rows rounded down to a
+    multiple of 64, so it stays in cache and a product over it gives a block
+    the same bits at any position. Whole tiles are views of samples and of out,
+    as long and C-contiguous; the last holds the final partial block,
+    zero-padded, and its y is copied, trimmed, into out when iteration ends."""
+    if n < 1:
+        raise ValueError(f"block length must be positive, got {n}")
+    step = max(64, _TILE // n // 64 * 64) * n  # samples per tile
+    whole = len(samples) // step * step
+    for i in range(0, whole, step):
+        yield samples[i : i + step].reshape(-1, n), out[i : i + step].reshape(-1, n)
+    if whole < len(samples):
+        x, y = blocks(samples[whole:], step)[1], np.empty(step)
+        yield x.reshape(-1, n), y.reshape(-1, n)
+        out[whole:] = y[: len(samples) - whole]
 
 
 def read_csv(path: str | Path, column: int = 0, fs: float = 360.0) -> Signal:

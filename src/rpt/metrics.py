@@ -1,7 +1,7 @@
 """Per-block squared Euclidean error, total error, and the comparison grid
 between subspace suppression and the notch baseline. The grid applies the
 row functions that suppress.run and notch.filter_blocked call to the padded
-rows of the contaminated record, into one buffer per block size."""
+contaminated record, into one buffer per block size."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .io import DataFormatError, Signal, blocks, table
+from .io import _TILE, DataFormatError, Signal, blocks, table
 from .notch import _filter_rows, design_notch
 from .suppress import SuppressionConfig, _suppress_rows
 
@@ -38,15 +38,18 @@ class SuppressionReport:
 
 
 def block_error(clean_block: np.ndarray, recon_block: np.ndarray) -> float:
-    """Sum of squared sample differences."""
-    clean_block = np.asarray(clean_block, dtype=float)
-    recon_block = np.asarray(recon_block, dtype=float)
-    if clean_block.shape != recon_block.shape:
-        raise ValueError(
-            f"block length mismatch: {clean_block.shape} vs {recon_block.shape}"
-        )
-    d = clean_block - recon_block
-    return float(d @ d)
+    """Sum of squared differences of two same-shaped inputs, io._TILE at a time."""
+    clean = np.asarray(clean_block, dtype=float)
+    recon = np.asarray(recon_block, dtype=float)
+    if clean.shape != recon.shape:
+        raise ValueError(f"block length mismatch: {clean.shape} vs {recon.shape}")
+    clean, recon = clean.ravel(), recon.ravel()
+    d, total = np.empty(_TILE), 0.0
+    for i in range(0, clean.size, _TILE):
+        a, b = clean[i : i + _TILE], recon[i : i + _TILE]
+        chunk = np.subtract(a, b, out=d[: len(a)])
+        total += chunk @ chunk
+    return float(total)
 
 
 def total_error(per_block: np.ndarray) -> float:
@@ -78,13 +81,13 @@ def compare_grid(
     reports = []
     for n in block_sizes:
         clean_rows = _padded(clean.samples, n)
-        dirty_rows = _padded(contaminated.samples, n)
+        dirty = _padded(contaminated.samples, n).reshape(-1)
         targets = SuppressionConfig(n, (f0,), clean.fs).target_spaces()
         coeffs = design_notch(f0, clean.fs, q)
-        recon = np.empty(dirty_rows.shape)  # each method's output, then its error
+        recon = np.empty(clean_rows.shape)  # each method's output, then its error
         for method, apply in (
-            ("rpt", lambda: _suppress_rows(dirty_rows, recon, targets)),
-            ("notch", lambda: _filter_rows(dirty_rows, recon, coeffs, n)),
+            ("rpt", lambda: _suppress_rows(dirty, recon.reshape(-1), n, targets)),
+            ("notch", lambda: _filter_rows(dirty, recon.reshape(-1), coeffs, n)),
         ):
             apply()
             np.subtract(clean_rows, recon, out=recon)

@@ -3,17 +3,17 @@ block-wise filtering with per-block state reset.
 
 With the state reset at each block, the notch is a linear operator per block:
 a causal convolution with the biquad's impulse response cut to the block
-length. A block of at most io.DENSE_BLOCK samples is one product with the
-lower-triangular Toeplitz matrix of that response. A longer block is filtered
-as sub-blocks of io.DENSE_BLOCK // 2 samples with the biquad's two-value state
-carried across them (Burrus's block realization, IEEE Trans. Audio
-Electroacoust. 20(4), 1972), in tiles of about _TILE samples and with no loop
-over sub-blocks: products give every sub-block's zero-state response and end
-state, then, through powers of the sub-block's state transition, every start
-state and the response to it. Whole blocks are read as a view of the input
-and the final partial block as it is, since zeros after the record's end
-cannot change a causal filter's output. The matrices depend only on the
-design and the sub-block length, so they are built once for each.
+length. Blocks of at most io.DENSE_BLOCK samples take one product with the
+lower-triangular Toeplitz matrix of that response per tile of io.tiles. A
+longer block is filtered as sub-blocks of io.DENSE_BLOCK // 2 samples with the
+biquad's two-value state carried across them (Burrus's block realization,
+IEEE Trans. Audio Electroacoust. 20(4), 1972), in tiles of about io._TILE
+samples, which bound every temporary, and with no loop over sub-blocks:
+products give every sub-block's zero-state response and end state, then,
+through powers of the sub-block's state transition, every start state and the
+response to it. A final partial block after long ones is read as it is, since
+zeros after the record's end cannot change a causal filter's output. The
+matrices are built once for each design.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import _CACHE_SIZE, DENSE_BLOCK, blocks
+from .io import _CACHE_SIZE, _TILE, DENSE_BLOCK, blocks, tiles
 
-# Samples filtered together, which bounds every temporary for any N.
-_TILE = 16_384
 # Sub-blocks whose start states come from one product, for any N.
 _GROUP = 64
 
@@ -123,19 +121,12 @@ def filter_block(coeffs: BiquadCoeffs, x: np.ndarray) -> np.ndarray:
 def filter_blocked(coeffs: BiquadCoeffs, x: np.ndarray, block_size: int) -> np.ndarray:
     """Filter in consecutive blocks, resetting state at each block boundary.
 
-    The final partial block is filtered as it is. The filter is causal, so
-    its output equals that of the block zero-padded to block_size and trimmed,
-    the subspace-suppression blocking.
+    The filter is causal, so the final partial block's output equals that of
+    the block zero-padded to block_size and trimmed, as in suppress.run.
     """
     x = np.asarray(x, dtype=float)
-    # only whole blocks, so that blocks pads none; it rejects block_size < 1
-    whole, _ = blocks(x[: len(x) - len(x) % max(block_size, 1)], block_size)
     y = np.empty(len(x))
-    for rows, out in (
-        (whole, y[: whole.size].reshape(whole.shape)),
-        (x[whole.size :][None], y[whole.size :][None]),
-    ):
-        _filter_rows(rows, out, coeffs, block_size)
+    _filter_rows(x, y, coeffs, block_size)
     return y
 
 
@@ -191,16 +182,31 @@ def _state_maps(
     return end, start
 
 
-def _filter_rows(rows, out, coeffs: BiquadCoeffs, block_size: int) -> None:
-    """Filter each row, a block or a final partial block, into the same row
-    of out, as sub-blocks of s samples, one tile at a time: whole rows, or
-    whole groups of sub-blocks of a longer row, with the state carried from
-    tile to tile. A tile is zero-padded to whole sub-blocks when s does not
-    divide it. Rows of at most s samples take one product and no carry."""
+def _filter_rows(samples, out, coeffs: BiquadCoeffs, block_size: int) -> None:
+    """Filter each block of samples into out, a 1-D array of the same length."""
     # The zero-state product costs s multiply-adds a sample; 36 was among the
     # fastest of 24, 36, 48 and 72 at N = 360 to 1440.
     s = block_size if block_size <= DENSE_BLOCK else DENSE_BLOCK // 2
     design = (coeffs.b0, coeffs.b1, coeffs.b2, coeffs.a1, coeffs.a2, s)
+    if 0 < block_size <= DENSE_BLOCK:
+        op = _sub_block_operators(*design)[0]
+        for x, y in tiles(samples, out, block_size):
+            np.matmul(x, op, out=y)
+        return
+    # only whole blocks, so that blocks pads none; it rejects block_size < 1
+    size = len(samples) - len(samples) % max(block_size, 1)
+    whole, _ = blocks(samples[:size], block_size)
+    _filter_sub_blocks(whole, out[:size].reshape(whole.shape), design)
+    _filter_sub_blocks(samples[size:][None], out[size:][None], design)
+
+
+def _filter_sub_blocks(rows, out, design: tuple) -> None:
+    """Filter each row, a long block or a final partial block, into the same
+    row of out, as sub-blocks of s = design[-1] samples, one tile at a time:
+    whole rows, or whole groups of sub-blocks of a longer row, with the state
+    carried from tile to tile. A tile is zero-padded to whole sub-blocks when
+    s does not divide it. Rows of at most s samples take one product."""
+    s = design[-1]
     op, _, _, carry = _sub_block_operators(*design)
     n = rows.shape[1]
     # a tile: step whole rows, or span samples (whole groups) of a longer row

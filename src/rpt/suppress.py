@@ -3,14 +3,13 @@ from each block.
 
 The coefficient view (`make_mask`, `suppress_block`) zeroes their coefficients
 and reconstructs. `_suppress_rows` writes the same operator I - sum of P_m,
-applied to each row of blocks, into a given output: blocks of at most
-io.DENSE_BLOCK samples as one matrix product with P_m = C_m / N, C_m the m x m
-circulant of the integer Ramanujan sum s_m tiled N / m times each way; longer
-blocks, a tile of rows at a time, as the input rows minus the period-m part of
-their fold to length m, tiled (transform.period_part). `run` calls it on a
-view of the whole blocks and on the zero-padded final block, and
-metrics.compare_grid on the padded rows it scores. The dense operator depends
-only on N and the target periods, so it is built once for each pair.
+applied to each block of a record, into a given output: blocks of at most
+io.DENSE_BLOCK samples as one matrix product per tile of io.tiles, divided by
+N in cache, with P_m = C_m / N, C_m the m x m circulant of the integer
+Ramanujan sum s_m tiled N / m times each way; longer blocks, a tile of rows at
+a time, as the input rows minus the period-m part of their fold to length m,
+tiled (transform.period_part). `run` and metrics.compare_grid call it. The
+dense operator depends only on N and the target periods: it is built once.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import _CACHE_SIZE, DENSE_BLOCK, Signal, blocks
+from .io import _CACHE_SIZE, DENSE_BLOCK, Signal, blocks, tiles
 from .ramanujan import circulant
 from .transform import (  # ConfigurationError and admissible_hint are re-exported
     CoefficientVector,
@@ -99,33 +98,34 @@ def run(signal: Signal, config: SuppressionConfig) -> Signal:
             f"signal fs={signal.fs} differs from configured fs={config.fs}"
         )
     targets = config.target_spaces()
-    whole, tail = blocks(signal.samples, config.block_size)
     cleaned = np.empty(len(signal))
-    _suppress_rows(whole, cleaned[: whole.size].reshape(whole.shape), targets)
-    _suppress_rows(tail, tail, targets)
-    cleaned[whole.size :] = tail.reshape(-1)[: len(signal) - whole.size]
+    _suppress_rows(signal.samples, cleaned, config.block_size, targets)
     return Signal(samples=cleaned, fs=signal.fs)
 
 
-def _suppress_rows(rows: np.ndarray, out: np.ndarray, targets: frozenset[int]) -> None:
-    """Write I - sum of P_m over the target periods m, applied to each row of
-    rows, into the same row of out: a C-contiguous array, or rows itself."""
-    n = rows.shape[1]
-    if n <= DENSE_BLOCK:
-        np.matmul(rows, _dense_operator(n, targets), out=out)  # op is symmetric
-        out /= n
+def _suppress_rows(samples, out, n: int, targets: frozenset[int]) -> None:
+    """Write I - sum of P_m over the target periods m, applied to each length-n
+    block of samples, the last one zero-padded, into out, a 1-D array as long."""
+    if 0 < n <= DENSE_BLOCK:
+        op = _dense_operator(n, targets)
+        for x, y in tiles(samples, out, n):
+            np.matmul(x, op, out=y)  # op is symmetric
+            y /= n
         return
+    whole, tail = blocks(samples, n)  # rejects n < 1
     step = max(1, _TILE // n)
-    for i in range(0, len(rows), step):
-        x, y = rows[i : i + step], out[i : i + step]
-        # every part before y is written, so out may be rows
-        parts = [(m, period_part(x, m)) for m in targets]
-        if not parts:
-            y[...] = x
-        for m, part in parts:
-            periods = (len(x), n // m, m)
-            np.subtract(x.reshape(periods), part[:, None], out=y.reshape(periods))
-            x = y
+    for rows, dest in ((whole, out[: whole.size].reshape(whole.shape)), (tail, tail)):
+        for i in range(0, len(rows), step):
+            x, y = rows[i : i + step], dest[i : i + step]
+            # every part before y is written, so dest may be rows
+            parts = [(m, period_part(x, m)) for m in targets]
+            if not parts:
+                y[...] = x
+            for m, part in parts:
+                periods = (len(x), n // m, m)
+                np.subtract(x.reshape(periods), part[:, None], out=y.reshape(periods))
+                x = y
+    out[whole.size :] = tail.reshape(-1)[: len(samples) - whole.size]
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)

@@ -1,6 +1,7 @@
 """Error measures and the method-comparison grid."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,34 @@ class TestBlockError:
         assert e == block_error(b, a)
         if a == b:
             assert e == 0.0
+
+    def test_sums_over_every_sample_of_any_shape(self):
+        assert block_error(np.ones((2, 2)), np.zeros((2, 2))) == 4.0
+        assert block_error(np.arange(6.0).reshape(2, 3), np.zeros((2, 3))) == 55.0
+        assert block_error(3.0, 1.0) == 4.0
+        assert block_error([], []) == 0.0
+
+    def test_shape_mismatch_of_same_size(self):
+        with pytest.raises(ValueError, match="block length mismatch"):
+            block_error(np.ones((2, 2)), np.ones(4))
+
+    def test_chunked_sum_equals_one_difference(self):
+        # three chunks, the last one partial
+        rng = np.random.default_rng(9)
+        a, b = rng.normal(size=(2, 2 * 16_384 + 5))
+        d = a - b
+        assert abs(block_error(a, b) - d @ d) <= 1e-12 * (d @ d)
+
+    def test_peak_memory_is_one_chunk(self):
+        """No difference of the record's size: a twentieth of a record at most."""
+        clean, recon = np.random.default_rng(17).normal(size=(2, 524_288))
+        tracemalloc.start()
+        try:
+            block_error(clean, recon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * clean.nbytes
 
 
 class TestTotalError:

@@ -1,0 +1,111 @@
+"""io.tiles and the bits it gives the block operators: for N up to
+io.DENSE_BLOCK a block's output does not depend on where it sits in the
+record or on how many blocks the record holds."""
+
+import numpy as np
+import pytest
+
+from rpt.io import DENSE_BLOCK, Signal, tiles
+from rpt.notch import design_notch, filter_blocked
+from rpt.suppress import SuppressionConfig, run
+
+# N = 35 and 36 share a tile of 448 rows; 72 takes 192
+SMALL_N = (35, 36, DENSE_BLOCK)
+# run's long path folds whole rows a tile at a time, which keeps a block's bits
+FOLD_N = (108, 360)
+
+
+def rpt_operator(n):
+    """run at fs = 10 N, which puts 10 Hz on bin 1 for any N."""
+    cfg = SuppressionConfig(block_size=n, interference_freqs=(10.0,), fs=10.0 * n)
+    return lambda x: run(Signal(samples=x, fs=10.0 * n), cfg).samples
+
+
+def notch_operator(n):
+    coeffs = design_notch(50.0, 360.0, 1.0)
+    return lambda x: filter_blocked(coeffs, x, n)
+
+
+def first_block_patterns(apply, n, max_blocks=300):
+    """The distinct bit patterns of the first block's output over records of
+    1 ... max_blocks whole blocks plus 0 or 1 samples."""
+    x = np.random.default_rng(n).normal(size=max_blocks * n + 1)
+    return {
+        apply(x[: b * n + extra])[:n].tobytes()
+        for b in range(1, max_blocks + 1)
+        for extra in (0, 1)
+    }
+
+
+@pytest.mark.parametrize("n, rows", [(1, 16_384), (35, 448), (36, 448), (72, 192)])
+def test_every_tile_has_the_same_row_count(n, rows):
+    for size in (1, n * rows - 1, n * rows, 2 * n * rows + n + 1):
+        x = np.arange(float(size))
+        out = np.full(size, np.nan)
+        shapes = []
+        for a, b in tiles(x, out, n):
+            assert a.shape == b.shape
+            shapes.append(a.shape)
+            b[...] = 2 * a
+        assert shapes == [(rows, n)] * -(-size // (n * rows))
+        assert np.array_equal(out, 2 * x)
+
+
+def test_whole_tiles_are_views_and_only_the_last_is_padded():
+    x = np.random.default_rng(0).normal(size=448 * 36 * 2 + 40)
+    out = np.empty_like(x)
+    pairs = list(tiles(x, out, 36))
+    for a, b in pairs[:2]:
+        assert np.shares_memory(a, x) and np.shares_memory(b, out)
+    a, b = pairs[2]
+    assert not np.shares_memory(a, x) and not np.shares_memory(b, out)
+    assert np.array_equal(a.reshape(-1)[:40], x[-40:])
+    assert not a.reshape(-1)[40:].any()
+
+
+def test_empty_record_has_no_tiles_and_zero_block_length_is_rejected():
+    assert list(tiles(np.empty(0), np.empty(0), 36)) == []
+    with pytest.raises(ValueError, match="block length must be positive"):
+        list(tiles(np.ones(3), np.empty(3), 0))
+
+
+@pytest.mark.parametrize("n", SMALL_N)
+@pytest.mark.parametrize("make", [rpt_operator, notch_operator])
+def test_first_block_has_one_bit_pattern_for_any_record_length(make, n):
+    assert len(first_block_patterns(make(n), n)) == 1
+
+
+@pytest.mark.parametrize("n", FOLD_N)
+def test_fold_path_first_block_has_one_bit_pattern(n):
+    assert len(first_block_patterns(rpt_operator(n), n)) == 1
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [(make, n) for make in (rpt_operator, notch_operator) for n in SMALL_N]
+    + [(rpt_operator, n) for n in FOLD_N],
+)
+def test_block_at_any_position_has_one_bit_pattern(make, n):
+    """Every position of a record longer than a tile, or of 40 long blocks."""
+    apply = make(n)
+    rng = np.random.default_rng(n)
+    count = 500 if n <= DENSE_BLOCK else 40
+    x = rng.normal(size=count * n + 7)
+    block = rng.normal(size=n)
+    patterns = set()
+    for pos in range(count):
+        y = x.copy()
+        y[pos * n : (pos + 1) * n] = block
+        patterns.add(apply(y)[pos * n : (pos + 1) * n].tobytes())
+    assert len(patterns) == 1
+
+
+@pytest.mark.parametrize("n", SMALL_N)
+@pytest.mark.parametrize("make", [rpt_operator, notch_operator])
+def test_partial_block_equals_the_padded_record_trimmed(make, n):
+    apply = make(n)
+    for size in (n - 1, 448 * n + 1, 3 * 448 * n - 1):
+        x = np.random.default_rng(size).normal(size=size)
+        padded = np.zeros(-(-size // n) * n)
+        padded[:size] = x
+        assert np.array_equal(apply(x), apply(padded)[:size])
