@@ -6,10 +6,14 @@ and reconstructs. `_suppress_rows` writes the same operator I - sum of P_m,
 applied to each block of a record, into a given output: blocks of at most
 io.DENSE_BLOCK samples as one matrix product per tile of io.tiles, divided by
 N in cache, with P_m = C_m / N, C_m the m x m circulant of the integer
-Ramanujan sum s_m tiled N / m times each way; longer blocks, a tile of rows at
-a time, as the input rows minus the period-m part of their fold to length m,
-tiled (transform.period_part). `run` and metrics.compare_grid call it. The
-dense operator depends only on N and the target periods: it is built once.
+Ramanujan sum s_m tiled N / m times each way; longer blocks, io._TILE samples
+of rows at a time so that each product stays small and in cache, as the input
+rows minus the period-m part of their fold to length m, tiled
+(transform.period_part: the fold times C_m, divided by N, for m up to
+io.DENSE_BLOCK, and the fold's m-point FFT pair for longer m). `run` and
+metrics.compare_grid call it. The dense operator depends only on N and the
+target periods, and both paths share one float copy of each C_m: each is
+built once.
 """
 
 from __future__ import annotations
@@ -19,22 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import _CACHE_SIZE, DENSE_BLOCK, Signal, blocks, tiles
-from .ramanujan import circulant
+from .io import _CACHE_SIZE, _TILE, DENSE_BLOCK, Signal, blocks, tiles
 from .transform import (  # ConfigurationError and admissible_hint are re-exported
     CoefficientVector,
     ConfigurationError,
     TransformPlan,
     admissible_hint,
+    float_circulant,
     forward,
     inverse,
     period_part,
     space_for_frequency,
 )
-
-# Samples of whole blocks folded together, which bounds the long path's
-# temporaries; 108 000 samples are one tile at any N.
-_TILE = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,9 @@ def run(signal: Signal, config: SuppressionConfig) -> Signal:
 
 def _suppress_rows(samples, out, n: int, targets: frozenset[int]) -> None:
     """Write I - sum of P_m over the target periods m, applied to each length-n
-    block of samples, the last one zero-padded, into out, a 1-D array as long."""
+    block of samples, the last one zero-padded, into out, a 1-D array as long
+    that does not overlap samples. A long block's output is the sum of its
+    target parts, tiled, subtracted from the block in one flat pass."""
     if 0 < n <= DENSE_BLOCK:
         op = _dense_operator(n, targets)
         for x, y in tiles(samples, out, n):
@@ -113,19 +115,22 @@ def _suppress_rows(samples, out, n: int, targets: frozenset[int]) -> None:
             y /= n
         return
     whole, tail = blocks(samples, n)  # rejects n < 1
+    tail_out = np.empty_like(tail)
     step = max(1, _TILE // n)
-    for rows, dest in ((whole, out[: whole.size].reshape(whole.shape)), (tail, tail)):
+    for rows, dest in ((whole, out[: whole.size].reshape(-1, n)), (tail, tail_out)):
         for i in range(0, len(rows), step):
             x, y = rows[i : i + step], dest[i : i + step]
-            # every part before y is written, so dest may be rows
-            parts = [(m, period_part(x, m)) for m in targets]
-            if not parts:
+            if not targets:
                 y[...] = x
-            for m, part in parts:
-                periods = (len(x), n // m, m)
-                np.subtract(x.reshape(periods), part[:, None], out=y.reshape(periods))
-                x = y
-    out[whole.size :] = tail.reshape(-1)[: len(samples) - whole.size]
+                continue
+            for k, m in enumerate(targets):
+                tiled, part = y.reshape(len(x), n // m, m), period_part(x, m)[:, None]
+                if k:
+                    np.add(tiled, part, out=tiled)
+                else:
+                    np.copyto(tiled, part)
+            np.subtract(x, y, out=y)
+    out[whole.size :] = tail_out.reshape(-1)[: len(samples) - whole.size]
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -136,7 +141,7 @@ def _dense_operator(n: int, targets: frozenset[int]) -> np.ndarray:
     overflows on the inputs the FFT's forward pass does.
     """
     op = n * np.eye(n) - sum(
-        np.tile(circulant(m).entries, (n // m, n // m)) for m in targets
+        np.tile(float_circulant(m), (n // m, n // m)) for m in targets
     )
     op.setflags(write=False)
     return op

@@ -5,8 +5,10 @@ interference frequency to its subspace (or the block sizes that would bind it).
 The transform matrix concatenates the shift bases of every divisor of the
 block length. The period-m subspace of a length-N block is exactly the span
 of the DFT bins k with N / gcd(k, N) = m: energy spectra sum groups of DFT
-bins, and projections filter the m-point DFT of the block folded to length m.
-The coefficient view (forward/inverse) solves each subspace against its
+bins. Projections read the block only through its fold to length m: for m up
+to io.DENSE_BLOCK the period-m part is the fold times the integer circulant of
+the Ramanujan sum s_m, divided by N; longer periods filter the fold's m-point
+DFT. The coefficient view (forward/inverse) solves each subspace against its
 closed-form Gram matrix; distinct subspaces are mutually orthogonal, so this
 equals the dense matrix inverse.
 """
@@ -22,8 +24,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .io import _CACHE_SIZE
-from .ramanujan import divisors, euler_totient, shift_basis
+from .io import _CACHE_SIZE, DENSE_BLOCK
+from .ramanujan import circulant, divisors, euler_totient, shift_basis
 
 
 @dataclass(frozen=True)
@@ -152,12 +154,29 @@ def inverse(plan: TransformPlan, beta: CoefficientVector) -> np.ndarray:
     return plan.basis @ beta.values
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def float_circulant(m: int) -> np.ndarray:
+    """ramanujan.circulant(m) as floats, read-only: built once per m and shared."""
+    entries = circulant(m).entries.astype(float)
+    entries.setflags(write=False)
+    return entries
+
+
 def period_part(rows: np.ndarray, m: int) -> np.ndarray:
     """One period (B x m) of each row's projection onto the period-m subspace,
     m | N. It reads a row only through its fold, the sum of its N / m length-m
-    segments: the fold's m-point DFT bin j is the row's bin j N / m."""
+    segments. For m <= io.DENSE_BLOCK the part is the fold times the symmetric
+    integer circulant C_m, divided by N after the product (which overflows
+    where an FFT would), over rows zero-padded to a multiple of 64 so that a
+    row's bits do not depend on the row count. For longer m the fold's m-point
+    DFT keeps its bins of period m: its bin j is the row's bin j N / m."""
     b, n = rows.shape
-    folded = rows if m == n else np.einsum("ijk->ik", rows.reshape(b, n // m, m))
+    segments = rows.reshape(b, n // m, m)
+    if m <= DENSE_BLOCK:
+        folded = np.zeros((-(-b // 64) * 64, m))
+        np.einsum("ijk->ik", segments, out=folded[:b])
+        return (folded @ float_circulant(m))[:b] / n
+    folded = rows if m == n else np.einsum("ijk->ik", segments)
     spectrum = np.fft.rfft(folded, axis=1)
     spectrum *= (bin_periods(m)[: m // 2 + 1] == m) / (n // m)
     return np.fft.irfft(spectrum, n=m, axis=1)
@@ -182,11 +201,13 @@ def energy_spectrum(plan: TransformPlan, x: np.ndarray) -> dict[int, float]:
     return {m: float(sums[m]) for m in plan.divisors}
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def space_for_frequency(f0: float, fs: float, n: int) -> FrequencyBinding:
     """Map a sinusoid frequency to its periodic subspace within a block.
 
     The frequency must land on an integer bin k0 = f0*n/fs, exactly for the
     decimal values of f0 and fs; the owning subspace has period n / gcd(k0, n).
+    Bindings are cached per (f0, fs, n) and their types; errors are not.
     """
     if n < 1:
         raise ValueError(f"block length must be positive, got {n}")

@@ -10,7 +10,9 @@ from rpt.io import _CACHE_SIZE, Signal
 from rpt.notch import _state_maps
 from rpt.notch import _sub_block_operators, design_notch, filter_blocked
 from rpt.suppress import SuppressionConfig, _dense_operator, run
-from rpt.transform import bin_periods, build_plan, energy_spectrum
+from rpt.ramanujan import circulant
+from rpt.transform import FrequencyNotRepresentable, bin_periods, build_plan
+from rpt.transform import energy_spectrum, float_circulant, space_for_frequency
 
 FS = 360.0
 CACHES = (build_plan, bin_periods, _dense_operator, _sub_block_operators)
@@ -141,3 +143,30 @@ def test_writing_into_a_state_map_raises(index):
     array = _state_maps(c.b0, c.b1, c.b2, c.a1, c.a2, 36)[index]
     with pytest.raises(ValueError, match="read-only"):
         array[(0,) * array.ndim] = 1.0
+
+
+def test_binding_cache_stays_within_the_bound_and_equals_a_fresh_binding():
+    space_for_frequency.cache_clear()
+    for n in range(36, 36 * 101, 36):  # 50 Hz at 360 Hz binds at every n
+        binding = space_for_frequency(50.0, FS, n)
+        assert binding == space_for_frequency.__wrapped__(50.0, FS, n)
+        assert space_for_frequency(50.0, FS, n) is binding
+    info = space_for_frequency.cache_info()
+    assert info.maxsize == _CACHE_SIZE and info.currsize == _CACHE_SIZE
+
+
+def test_a_frequency_with_no_bin_raises_on_every_call():
+    space_for_frequency.cache_clear()
+    for _ in range(3):
+        with pytest.raises(FrequencyNotRepresentable):
+            space_for_frequency(50.0, FS, 35)
+    assert space_for_frequency.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("m", (1, 4, 36, 72))
+def test_cached_circulant_is_read_only_and_equals_the_integer_one(m):
+    entries = float_circulant(m)
+    assert entries.dtype == float
+    assert np.array_equal(entries, circulant(m).entries)
+    with pytest.raises(ValueError, match="read-only"):
+        entries[0, 0] = 1.0

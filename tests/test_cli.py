@@ -658,3 +658,18 @@ def test_contaminate_212_defaults_read_channel_0_of_record_100(tmp_path):
     assert dispatch([*argv, "--amplitude", "0", "--output", str(out)]) == 0
     want = (np.array(raw0) - 1024) / 200
     assert read_csv(out).samples.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("n, f0", [(144, 90.0), (360, 50.0)], ids=["m4", "m36"])
+def test_long_block_overflow_is_one_data_error_line(tmp_path, capsys, n, f0):
+    """Past io.DENSE_BLOCK, a block whose fold to the target period m (4 or 36)
+    overflows ends in one line, exit 2, as on short blocks."""
+    big = tmp_path / "big.csv"
+    write_csv(Signal(samples=np.tile([1e308, -1e308], 720), fs=360.0), big)
+    out = tmp_path / "out.csv"
+    argv = ["denoise", "--input", str(big), "--output", str(out)]
+    code = dispatch([*argv, f"--block-size={n}", f"--f0={f0}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert not out.exists()

@@ -331,3 +331,28 @@ def test_no_interference_frequency_leaves_the_signal(n):
     x = np.random.default_rng(n).normal(size=3 * n + 5)
     out = run(Signal(samples=x, fs=360.0), cfg).samples
     assert np.abs(out - x).max() <= 1e-15 * np.abs(x).max()
+
+
+@pytest.mark.parametrize(
+    "n, fs, f0, m",
+    [(360, 360.0, 50.0, 36), (360, 360.0, 60.0, 6), (100, 1000.0, 10.0, 100)],
+    ids=["circulant-36", "circulant-6", "fft-period-N"],
+)
+def test_long_path_projection_matches_dense_gram_projection(n, fs, f0, m):
+    """project and run past io.DENSE_BLOCK, through both branches of
+    transform.period_part (the circulant for m <= 72, the FFT above), against
+    cols @ solve(cols.T @ cols, cols.T @ x) on the period-m shift columns."""
+    cfg = SuppressionConfig(block_size=n, interference_freqs=(f0,), fs=fs)
+    assert n > DENSE_BLOCK and cfg.target_spaces() == {m}
+    plan = build_plan(n)
+    cols = plan.basis[:, plan.layout[m].start : plan.layout[m].stop].astype(float)
+    size = 3 * n + n // 3  # the last block is zero-padded
+    rows = np.zeros((4, n))
+    x = np.random.default_rng(m).normal(size=size) + tone(size, f0=f0, fs=fs)
+    rows.reshape(-1)[:size] = x
+    dense = np.linalg.solve(cols.T @ cols, cols.T @ rows.T).T @ cols.T
+    tol = 1e-12 * np.linalg.norm(rows)
+    for row, want in zip(rows, dense):
+        assert np.abs(project(plan, row, m) - want).max() <= tol
+    out = run(Signal(samples=x, fs=fs), cfg).samples
+    assert np.abs(out - (rows - dense).reshape(-1)[:size]).max() <= tol

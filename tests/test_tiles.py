@@ -109,3 +109,23 @@ def test_partial_block_equals_the_padded_record_trimmed(make, n):
         padded = np.zeros(-(-size // n) * n)
         padded[:size] = x
         assert np.array_equal(apply(x), apply(padded)[:size])
+
+
+# 50 Hz at fs = 360 binds to the period m = 36 at these N, so the fold path
+# projects a fold shorter than the block
+SUB_PERIOD_N = (108, 360, 1440)
+
+
+def rpt_50hz_operator(n):
+    cfg = SuppressionConfig(block_size=n, interference_freqs=(50.0,), fs=360.0)
+    return lambda x: run(Signal(samples=x, fs=360.0), cfg).samples
+
+
+@pytest.mark.parametrize("n", SUB_PERIOD_N)
+def test_fold_path_below_the_block_first_block_has_one_bit_pattern(n):
+    assert len(first_block_patterns(rpt_50hz_operator(n), n)) == 1
+
+
+@pytest.mark.parametrize("n", SUB_PERIOD_N)
+def test_fold_path_below_the_block_block_at_any_position_has_one_bit_pattern(n):
+    test_block_at_any_position_has_one_bit_pattern(rpt_50hz_operator, n)
