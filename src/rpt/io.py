@@ -57,9 +57,9 @@ def blocks(samples: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The whole length-n blocks of samples, one per row, as a view of them,
     and the final partial block zero-padded to n, as a (0 or 1) x n array.
 
-    Only the partial block is copied. For long blocks, suppression writes its
-    output, trimmed, into the tail of one output array; the notch, a causal
-    filter, reads the partial block unpadded and needs only the whole blocks.
+    Only the partial block is copied. `tiles` pads the last tile with it; the
+    notch's long path, a causal filter, reads the partial block unpadded and
+    needs only the whole blocks.
     """
     if n < 1:
         raise ValueError(f"block length must be positive, got {n}")
@@ -72,14 +72,17 @@ def blocks(samples: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def tiles(samples: np.ndarray, out: np.ndarray, n: int):
     """(x, y) pairs over the length-n blocks of samples, one per row of x, whose
-    output goes into y. Every tile has _TILE // n rows rounded down to a
-    multiple of 64, so it stays in cache and a product over it gives a block
-    the same bits at any position. Whole tiles are views of samples and of out,
-    as long and C-contiguous; the last holds the final partial block,
-    zero-padded, and its y is copied, trimmed, into out when iteration ends."""
+    output goes into y. Every tile has the same row count, so that it stays in
+    cache and a product over it gives a block the same bits at any position
+    and for any record length: _TILE // n rounded down to a multiple of 64,
+    or, where fewer than 64 blocks fit in _TILE samples, _TILE // n and at
+    least one. Whole tiles are views of samples and of out, as long and
+    C-contiguous; the last holds the final partial tile, zero-padded, and its
+    y is copied, trimmed, into out when iteration ends."""
     if n < 1:
         raise ValueError(f"block length must be positive, got {n}")
-    step = max(64, _TILE // n // 64 * 64) * n  # samples per tile
+    rows = _TILE // n
+    step = (rows // 64 * 64 or max(rows, 1)) * n  # samples per tile
     whole = len(samples) // step * step
     for i in range(0, whole, step):
         yield samples[i : i + step].reshape(-1, n), out[i : i + step].reshape(-1, n)

@@ -1,7 +1,8 @@
 """Per-block squared Euclidean error, total error, and the comparison grid
 between subspace suppression and the notch baseline. The grid applies the
 row functions that suppress.run and notch.filter_blocked call to the padded
-contaminated record, into one buffer per block size."""
+contaminated record, into one buffer per block size, and scores each output
+there against the unpadded clean record in place."""
 
 from __future__ import annotations
 
@@ -69,10 +70,11 @@ def compare_grid(
 ) -> list[SuppressionReport]:
     """Run both suppression methods at each block size and score against clean.
 
-    The final partial block is zero-padded on both the contaminated input and
-    the clean reference, and scored over the whole padded block: each method
-    writes its output and then its error into the same buffer. A total error
-    past the float range raises DataFormatError.
+    The final partial block is zero-padded on the contaminated input and
+    scored over the whole padded block, against a clean reference that is
+    zero past the record's end: each method writes its output and then its
+    error into the same buffer. A total error past the float range raises
+    DataFormatError.
     """
     if len(clean) != len(contaminated) or clean.fs != contaminated.fs:
         raise ValueError("clean and contaminated signals must match in length and fs")
@@ -80,17 +82,18 @@ def compare_grid(
         raise ValueError("empty signal")
     reports = []
     for n in block_sizes:
-        clean_rows = _padded(clean.samples, n)
         dirty = _padded(contaminated.samples, n).reshape(-1)
         targets = SuppressionConfig(n, (f0,), clean.fs).target_spaces()
         coeffs = design_notch(f0, clean.fs, q)
-        recon = np.empty(clean_rows.shape)  # each method's output, then its error
+        recon = np.empty((len(dirty) // n, n))  # each output, then its error
+        flat = recon.reshape(-1)
         for method, apply in (
-            ("rpt", lambda: _suppress_rows(dirty, recon.reshape(-1), n, targets)),
-            ("notch", lambda: _filter_rows(dirty, recon.reshape(-1), coeffs, n)),
+            ("rpt", lambda: _suppress_rows(dirty, flat, n, targets)),
+            ("notch", lambda: _filter_rows(dirty, flat, coeffs, n)),
         ):
             apply()
-            np.subtract(clean_rows, recon, out=recon)
+            # past the record's end the error is -recon: the same square
+            np.subtract(clean.samples, flat[: len(clean)], out=flat[: len(clean)])
             report = SuppressionReport(n, method, np.einsum("ij,ij->i", recon, recon))
             if not np.isfinite(report.total):  # einsum sets no overflow flag
                 raise DataFormatError(

@@ -3,12 +3,11 @@ from each block.
 
 The coefficient view (`make_mask`, `suppress_block`) zeroes their coefficients
 and reconstructs. `_suppress_rows` writes the same operator I - sum of P_m,
-applied to each block of a record, into a given output: blocks of at most
-io.DENSE_BLOCK samples as one matrix product per tile of io.tiles, divided by
-N in cache, with P_m = C_m / N, C_m the m x m circulant of the integer
-Ramanujan sum s_m tiled N / m times each way; longer blocks, io._TILE samples
-of rows at a time so that each product stays small and in cache, as the input
-rows minus the period-m part of their fold to length m, tiled
+applied to each block of a record, into a given output, one tile of io.tiles
+at a time: blocks of at most io.DENSE_BLOCK samples as one matrix product,
+divided by N in cache, with P_m = C_m / N, C_m the m x m circulant of the
+integer Ramanujan sum s_m tiled N / m times each way; longer blocks as the
+input rows minus the period-m part of their fold to length m, tiled
 (transform.period_part: the fold times C_m, divided by N, for m up to
 io.DENSE_BLOCK, and the fold's m-point FFT pair for longer m). `run` and
 metrics.compare_grid call it. The dense operator depends only on N and the
@@ -23,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import _CACHE_SIZE, _TILE, DENSE_BLOCK, Signal, blocks, tiles
+from .io import _CACHE_SIZE, DENSE_BLOCK, Signal, tiles
 from .transform import (  # ConfigurationError and admissible_hint are re-exported
     CoefficientVector,
     ConfigurationError,
@@ -106,23 +105,15 @@ def run(signal: Signal, config: SuppressionConfig) -> Signal:
 def _suppress_rows(samples, out, n: int, targets: frozenset[int]) -> None:
     """Write I - sum of P_m over the target periods m, applied to each length-n
     block of samples, the last one zero-padded, into out, a 1-D array as long
-    that does not overlap samples. A long block's output is the sum of its
-    target parts, tiled, subtracted from the block in one flat pass."""
-    if 0 < n <= DENSE_BLOCK:
-        op = _dense_operator(n, targets)
-        for x, y in tiles(samples, out, n):
+    that does not overlap samples, one tile of io.tiles at a time. A long
+    block's output is the sum of its target parts, tiled, subtracted from the
+    block in one flat pass."""
+    op = _dense_operator(n, targets) if 0 < n <= DENSE_BLOCK else None
+    for x, y in tiles(samples, out, n):  # rejects n < 1
+        if op is not None:
             np.matmul(x, op, out=y)  # op is symmetric
             y /= n
-        return
-    whole, tail = blocks(samples, n)  # rejects n < 1
-    tail_out = np.empty_like(tail)
-    step = max(1, _TILE // n)
-    for rows, dest in ((whole, out[: whole.size].reshape(-1, n)), (tail, tail_out)):
-        for i in range(0, len(rows), step):
-            x, y = rows[i : i + step], dest[i : i + step]
-            if not targets:
-                y[...] = x
-                continue
+        elif targets:
             for k, m in enumerate(targets):
                 tiled, part = y.reshape(len(x), n // m, m), period_part(x, m)[:, None]
                 if k:
@@ -130,7 +121,8 @@ def _suppress_rows(samples, out, n: int, targets: frozenset[int]) -> None:
                 else:
                     np.copyto(tiled, part)
             np.subtract(x, y, out=y)
-    out[whole.size :] = tail_out.reshape(-1)[: len(samples) - whole.size]
+        else:
+            y[...] = x
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)

@@ -167,15 +167,13 @@ def period_part(rows: np.ndarray, m: int) -> np.ndarray:
     m | N. It reads a row only through its fold, the sum of its N / m length-m
     segments. For m <= io.DENSE_BLOCK the part is the fold times the symmetric
     integer circulant C_m, divided by N after the product (which overflows
-    where an FFT would), over rows zero-padded to a multiple of 64 so that a
-    row's bits do not depend on the row count. For longer m the fold's m-point
+    where an FFT would); io.tiles gives it one row count per N, so that a
+    row's bits do not depend on the record. For longer m the fold's m-point
     DFT keeps its bins of period m: its bin j is the row's bin j N / m."""
     b, n = rows.shape
     segments = rows.reshape(b, n // m, m)
     if m <= DENSE_BLOCK:
-        folded = np.zeros((-(-b // 64) * 64, m))
-        np.einsum("ijk->ik", segments, out=folded[:b])
-        return (folded @ float_circulant(m))[:b] / n
+        return np.einsum("ijk->ik", segments) @ float_circulant(m) / n
     folded = rows if m == n else np.einsum("ijk->ik", segments)
     spectrum = np.fft.rfft(folded, axis=1)
     spectrum *= (bin_periods(m)[: m // 2 + 1] == m) / (n // m)

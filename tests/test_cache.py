@@ -3,6 +3,8 @@ notch's sub-block matrices) are built once per key and shared: a cached one
 equals a fresh build, a warm call gives the same bits as a cold one, whatever
 came before it, every shared array is read-only, and each cache is bounded."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -170,3 +172,24 @@ def test_cached_circulant_is_read_only_and_equals_the_integer_one(m):
     assert np.array_equal(entries, circulant(m).entries)
     with pytest.raises(ValueError, match="read-only"):
         entries[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n", (36, 108, 360))
+def test_cold_binding_and_circulant_give_the_warm_bits(n):
+    """run with every cache cold, the frequency binding and the float circulant
+    included, then warm."""
+    cfg = SuppressionConfig(block_size=n, interference_freqs=(50.0,), fs=FS)
+    for cache in (*CACHES, space_for_frequency, float_circulant):
+        cache.cache_clear()
+    cold = run(Signal(samples=X, fs=FS), cfg).samples.tobytes()
+    assert space_for_frequency.cache_info().misses == 1
+    assert float_circulant.cache_info().misses == 1  # C_36 on either path
+    assert run(Signal(samples=X, fs=FS), cfg).samples.tobytes() == cold
+
+
+def test_every_field_of_a_cached_plan_and_binding_is_frozen():
+    """The caches hand one object to every caller."""
+    for shared in (build_plan(36), space_for_frequency(50.0, FS, 36)):
+        for field in dataclasses.fields(shared):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(shared, field.name, None)

@@ -82,6 +82,12 @@ def test_compare_grid_peak_memory(length, n, records):
     assert peak <= records * clean.samples.nbytes
 
 
+@pytest.mark.parametrize("n", (36, 360))
+def test_compare_grid_copies_no_clean_record(n):
+    """The padded dirty copy and the output buffer, and no padded clean copy."""
+    test_compare_grid_peak_memory(107_999, n, 2.6)
+
+
 def test_empty_record_is_rejected():
     empty = Signal(samples=np.zeros(0), fs=FS)
     with pytest.raises(ValueError, match="empty signal"):

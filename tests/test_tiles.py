@@ -129,3 +129,24 @@ def test_fold_path_below_the_block_first_block_has_one_bit_pattern(n):
 @pytest.mark.parametrize("n", SUB_PERIOD_N)
 def test_fold_path_below_the_block_block_at_any_position_has_one_bit_pattern(n):
     test_block_at_any_position_has_one_bit_pattern(rpt_50hz_operator, n)
+
+
+@pytest.mark.parametrize(
+    "n, rows", [(257, 63), (360, 45), (1440, 11), (7200, 2), (16_416, 1)]
+)
+def test_tiles_past_256_samples_hold_as_many_blocks_as_fit(n, rows):
+    """io._TILE // n rows where fewer than 64 blocks fit, one past io._TILE."""
+    test_every_tile_has_the_same_row_count(n, rows)
+
+
+def rpt_360hz_operator(n, f0):
+    cfg = SuppressionConfig(block_size=n, interference_freqs=(f0,), fs=360.0)
+    return lambda x: run(Signal(samples=x, fs=360.0), cfg).samples
+
+
+# 50.05 Hz binds to the period N = 7200 (the FFT branch of period_part); 50 Hz
+# to the period 36 at N = 16 416, which takes one-row tiles
+@pytest.mark.parametrize("n, f0", [(7200, 50.05), (16_416, 50.0)])
+def test_long_block_first_block_has_one_bit_pattern(n, f0):
+    apply = rpt_360hz_operator(n, f0)
+    assert len(first_block_patterns(apply, n, max_blocks=20)) == 1
