@@ -55,12 +55,8 @@ _TILE = 16_384  # samples in one tile of `tiles`: 128 KiB, which stays in cache
 
 def blocks(samples: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The whole length-n blocks of samples, one per row, as a view of them,
-    and the final partial block zero-padded to n, as a (0 or 1) x n array.
-
-    Only the partial block is copied. `tiles` pads the last tile with it; the
-    notch's long path, a causal filter, reads the partial block unpadded and
-    needs only the whole blocks.
-    """
+    and the final partial block zero-padded to n, as a (0 or 1) x n array:
+    only the partial block is copied."""
     if n < 1:
         raise ValueError(f"block length must be positive, got {n}")
     samples = np.asarray(samples, dtype=float)  # no copy of a float array
@@ -74,19 +70,22 @@ def tiles(samples: np.ndarray, out: np.ndarray, n: int):
     """(x, y) pairs over the length-n blocks of samples, one per row of x, whose
     output goes into y. Every tile has the same row count, so that it stays in
     cache and a product over it gives a block the same bits at any position
-    and for any record length: _TILE // n rounded down to a multiple of 64,
-    or, where fewer than 64 blocks fit in _TILE samples, _TILE // n and at
-    least one. Whole tiles are views of samples and of out, as long and
-    C-contiguous; the last holds the final partial tile, zero-padded, and its
+    and for any record length: _TILE // n, rounded down to a multiple of 64
+    for n up to DENSE_BLOCK, and at least one. Tiles are views of samples and
+    of out, as long and C-contiguous; a record of whole blocks and at least a
+    tile ends on the view of its last tile's worth, overlapping the one before.
+    Otherwise the last tile holds the final partial tile, zero-padded, and its
     y is copied, trimmed, into out when iteration ends."""
     if n < 1:
         raise ValueError(f"block length must be positive, got {n}")
     rows = _TILE // n
-    step = (rows // 64 * 64 or max(rows, 1)) * n  # samples per tile
+    step = max(rows // 64 * 64 if n <= DENSE_BLOCK else rows, 1) * n
     whole = len(samples) // step * step
     for i in range(0, whole, step):
         yield samples[i : i + step].reshape(-1, n), out[i : i + step].reshape(-1, n)
-    if whole < len(samples):
+    if whole and whole < len(samples) and len(samples) % n == 0:
+        yield samples[-step:].reshape(-1, n), out[-step:].reshape(-1, n)
+    elif whole < len(samples):
         x, y = blocks(samples[whole:], step)[1], np.empty(step)
         yield x.reshape(-1, n), y.reshape(-1, n)
         out[whole:] = y[: len(samples) - whole]

@@ -3,17 +3,18 @@ block-wise filtering with per-block state reset.
 
 With the state reset at each block, the notch is a linear operator per block:
 a causal convolution with the biquad's impulse response cut to the block
-length. Blocks of at most io.DENSE_BLOCK samples take one product with the
-lower-triangular Toeplitz matrix of that response per tile of io.tiles. A
-longer block is filtered as sub-blocks of io.DENSE_BLOCK // 2 samples with the
-biquad's two-value state carried across them (Burrus's block realization,
-IEEE Trans. Audio Electroacoust. 20(4), 1972), in tiles of about io._TILE
-samples, which bound every temporary, and with no loop over sub-blocks:
-products give every sub-block's zero-state response and end state, then,
-through powers of the sub-block's state transition, every start state and the
-response to it. A final partial block after long ones is read as it is, since
-zeros after the record's end cannot change a causal filter's output. The
-matrices are built once for each design.
+length. It is applied one tile of io.tiles at a time, as suppress applies its
+operator, the final partial block zero-padded in the last tile: a block of at
+most io.DENSE_BLOCK samples takes one product with the lower-triangular
+Toeplitz matrix of that response, and a longer block is filtered as sub-blocks
+of io.DENSE_BLOCK // 2 samples with the biquad's two-value state carried
+across them (Burrus's block realization, IEEE Trans. Audio Electroacoust.
+20(4), 1972), with no loop over sub-blocks: products give every sub-block's
+zero-state response and end state, then, through powers of the sub-block's
+state transition, every start state and the response to it. Only a final
+partial block longer than io._TILE is read unpadded, since zeros after the
+record's end cannot change a causal filter's output. The matrices are built
+once for each design.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import _CACHE_SIZE, _TILE, DENSE_BLOCK, blocks, tiles
+from .io import _CACHE_SIZE, _TILE, DENSE_BLOCK, tiles
 
-# Sub-blocks whose start states come from one product, for any N.
-_GROUP = 64
+# Sub-blocks whose start states come from one product, for any N. The product's
+# 128 columns give each row of a tile the same bits in OpenBLAS; 130 did not.
+_GROUP = 63
 
 
 @dataclass(frozen=True)
@@ -183,59 +185,55 @@ def _state_maps(
 
 
 def _filter_rows(samples, out, coeffs: BiquadCoeffs, block_size: int) -> None:
-    """Filter each block of samples into out, a 1-D array of the same length."""
+    """Filter each block of samples into out, a 1-D array of the same length,
+    one tile of io.tiles at a time, and after them a final partial block
+    longer than io._TILE, unpadded: padding it would cost a whole block."""
     # The zero-state product costs s multiply-adds a sample; 36 was among the
     # fastest of 24, 36, 48 and 72 at N = 360 to 1440.
     s = block_size if block_size <= DENSE_BLOCK else DENSE_BLOCK // 2
     design = (coeffs.b0, coeffs.b1, coeffs.b2, coeffs.a1, coeffs.a2, s)
-    if 0 < block_size <= DENSE_BLOCK:
-        op = _sub_block_operators(*design)[0]
-        for x, y in tiles(samples, out, block_size):
+    op = _sub_block_operators(*design)[0] if 0 < block_size <= DENSE_BLOCK else None
+    size = len(samples) - len(samples) % block_size if block_size > _TILE else None
+    for x, y in tiles(samples[:size], out[:size], block_size):  # rejects N < 1
+        if op is not None:
             np.matmul(x, op, out=y)
-        return
-    # only whole blocks, so that blocks pads none; it rejects block_size < 1
-    size = len(samples) - len(samples) % max(block_size, 1)
-    whole, _ = blocks(samples[:size], block_size)
-    _filter_sub_blocks(whole, out[:size].reshape(whole.shape), design)
-    _filter_sub_blocks(samples[size:][None], out[size:][None], design)
+        else:
+            _filter_sub_blocks(x, y, design)
+    if size is not None and size < len(samples):
+        _filter_sub_blocks(samples[size:][None], out[size:][None], design)
 
 
 def _filter_sub_blocks(rows, out, design: tuple) -> None:
     """Filter each row, a long block or a final partial block, into the same
-    row of out, as sub-blocks of s = design[-1] samples, one tile at a time:
-    whole rows, or whole groups of sub-blocks of a longer row, with the state
-    carried from tile to tile. A tile is zero-padded to whole sub-blocks when
-    s does not divide it. Rows of at most s samples take one product."""
+    row of out, as sub-blocks of s = design[-1] samples, whole groups of
+    sub-blocks at a time, with the state carried from span to span. A span is
+    zero-padded to whole sub-blocks when s does not divide it."""
     s = design[-1]
     op, _, _, carry = _sub_block_operators(*design)
-    n = rows.shape[1]
-    # a tile: step whole rows, or span samples (whole groups) of a longer row
-    span = max(1, min(n, _TILE // (_GROUP * s) * _GROUP * s))
-    step = max(1, _TILE // span)
-    for i in range(0, len(rows), step):
-        start = 0.0  # the state the tile's first sub-block starts in
-        for j in range(0, n, span):
-            x, y = rows[i : i + step, j : j + span], out[i : i + step, j : j + span]
-            b, w = x.shape
-            k = -(-w // s)  # sub-blocks per row of the tile
-            if k * s != w:
-                x = np.zeros((b, k * s))
-                x[:, :w] = rows[i : i + step, j : j + span]
-                y = np.empty_like(x)
-            np.matmul(x.reshape(-1, s), op, out=y.reshape(-1, s))
-            if n > s:
-                end_map, start_map = _state_maps(*design)
-                # states[:, t + 1]: the state sub-block t ends in from a zero start
-                states = np.empty((b, k + 1, 2))
-                states[:, 0] = start
-                np.matmul(x.reshape(b, k, s), end_map, out=states[:, 1:])
-                y3 = y.reshape(b, k, s)
-                for g in range(0, k, _GROUP):
-                    size = min(_GROUP, k - g)
-                    group = states[:, g : g + size + 1].reshape(b, -1)
-                    group = group @ start_map[: 2 * size + 2, : 2 * size + 2]
-                    states[:, g : g + size + 1] = group.reshape(b, -1, 2)
-                    y3[:, g : g + size] += states[:, g : g + size] @ carry
-                start = states[:, k]
-            if k * s != w:
-                out[i : i + step, j : j + span] = y[:, :w]
+    end_map, start_map = _state_maps(*design)
+    b, n = rows.shape
+    span = min(n, _TILE // (_GROUP * s) * _GROUP * s)  # samples of a row at a time
+    start = 0.0  # the state the span's first sub-block starts in
+    for j in range(0, n, span):
+        x, y = rows[:, j : j + span], out[:, j : j + span]
+        w = x.shape[1]
+        k = -(-w // s)  # sub-blocks per row of the span
+        if k * s != w:
+            x = np.zeros((b, k * s))
+            x[:, :w] = rows[:, j : j + span]
+            y = np.empty_like(x)
+        np.matmul(x.reshape(-1, s), op, out=y.reshape(-1, s))
+        # states[:, t + 1]: the state sub-block t ends in from a zero start
+        states = np.empty((b, k + 1, 2))
+        states[:, 0] = start
+        np.matmul(x.reshape(b, k, s), end_map, out=states[:, 1:])
+        y3 = y.reshape(b, k, s)
+        for g in range(0, k, _GROUP):
+            size = min(_GROUP, k - g)
+            group = states[:, g : g + size + 1].reshape(b, -1)
+            group = group @ start_map[: 2 * size + 2, : 2 * size + 2]
+            states[:, g : g + size + 1] = group.reshape(b, -1, 2)
+            y3[:, g : g + size] += states[:, g : g + size] @ carry
+        start = states[:, k]
+        if k * s != w:
+            out[:, j : j + span] = y[:, :w]

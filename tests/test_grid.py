@@ -92,3 +92,10 @@ def test_empty_record_is_rejected():
     empty = Signal(samples=np.zeros(0), fs=FS)
     with pytest.raises(ValueError, match="empty signal"):
         compare_grid(empty, empty, [36], 50.0, Q)
+
+
+def test_per_block_errors_past_a_tile():
+    """One-row tiles; the final partial block rides padded in the grid."""
+    test_per_block_errors_equal_the_operators_on_the_padded_record(
+        16_416, 50.0, 107_999
+    )

@@ -150,3 +150,94 @@ def rpt_360hz_operator(n, f0):
 def test_long_block_first_block_has_one_bit_pattern(n, f0):
     apply = rpt_360hz_operator(n, f0)
     assert len(first_block_patterns(apply, n, max_blocks=20)) == 1
+
+
+# Past io.DENSE_BLOCK a tile holds io._TILE // N blocks, not a multiple of 64
+LONG_TILE_N = ((108, 151), (144, 113), (180, 91), (252, 65))
+
+
+@pytest.mark.parametrize("n, rows", LONG_TILE_N)
+def test_tiles_past_the_dense_block_hold_as_many_blocks_as_fit(n, rows):
+    test_every_tile_has_the_same_row_count(n, rows)
+
+
+def notch_360hz_operator(n, f0):
+    coeffs = design_notch(f0, 360.0, 1.0)
+    return lambda x: filter_blocked(coeffs, x, n)
+
+
+def tile_rows(n):
+    """The row count of every tile of length-n blocks."""
+    return len(next(tiles(np.empty(n), np.empty(n), n))[0])
+
+
+def position_patterns(apply, n, count, extra):
+    """The distinct bit patterns of one block's output placed at each of the
+    count positions of a record of count blocks plus extra samples."""
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=count * n + extra)
+    block = rng.normal(size=n)
+    patterns = set()
+    for pos in range(count):
+        y = x.copy()
+        y[pos * n : (pos + 1) * n] = block
+        patterns.add(apply(y)[pos * n : (pos + 1) * n].tobytes())
+    return patterns
+
+
+# 50, 60 and 90 Hz bind to the periods 36, 6 and 4 at fs = 360
+@pytest.mark.parametrize("f0", [50.0, 60.0, 90.0])
+@pytest.mark.parametrize("n", [n for n, _ in LONG_TILE_N])
+@pytest.mark.parametrize("make", [rpt_360hz_operator, notch_360hz_operator])
+def test_long_block_at_any_position_past_two_tiles_has_one_bit_pattern(make, n, f0):
+    count = 2 * tile_rows(n) + 3
+    assert len(position_patterns(make(n, f0), n, count, 7)) == 1
+
+
+@pytest.mark.parametrize("n", [108, 360, 1440])
+def test_notch_long_block_first_block_has_one_bit_pattern(n):
+    assert len(first_block_patterns(notch_operator(n), n)) == 1
+
+
+# 3276 takes two groups of sub-blocks in tiles of 5 rows
+@pytest.mark.parametrize("n", [108, 360, 1440, 3276])
+def test_notch_long_block_at_any_position_past_two_tiles_has_one_bit_pattern(n):
+    count = 2 * tile_rows(n) + 3
+    assert len(position_patterns(notch_operator(n), n, count, 7)) == 1
+
+
+# N past io.DENSE_BLOCK up to io._TILE: a partial last sub-block (73, 145),
+# several groups of sub-blocks (2340, 7200) and one-row tiles (16 384)
+@pytest.mark.parametrize("n", [73, 108, 145, 360, 1440, 2340, 7200, 16_384])
+def test_notch_partial_block_equals_the_padded_record_trimmed(n):
+    apply, rows = notch_operator(n), tile_rows(n)
+    for size in (n - 1, rows * n + 1, 3 * rows * n - 1):
+        x = np.random.default_rng(size).normal(size=size)
+        padded = np.zeros(-(-size // n) * n)
+        padded[:size] = x
+        assert np.array_equal(apply(x), apply(padded)[:size])
+
+
+@pytest.mark.parametrize("n", SMALL_N)
+@pytest.mark.parametrize("make", [rpt_operator, notch_operator])
+def test_block_at_any_position_of_whole_blocks_past_a_tile_has_one_bit_pattern(
+    make, n
+):
+    """The last tile overlaps the one before it and computes its rows again."""
+    assert len(position_patterns(make(n), n, 1000, 0)) == 1
+
+
+def test_a_whole_block_record_ends_with_an_overlapping_view():
+    x = np.random.default_rng(0).normal(size=1000 * 36)
+    out = np.empty_like(x)
+    pairs = list(tiles(x, out, 36))
+    assert [len(a) for a, _ in pairs] == [448, 448, 448]
+    a, b = pairs[-1]
+    assert np.shares_memory(a, x) and np.shares_memory(b, out)
+    assert np.array_equal(a.reshape(-1), x[-448 * 36 :])
+
+
+@pytest.mark.parametrize("n", [-1, -36, -360])
+def test_negative_block_size_is_rejected_by_the_notch(n):
+    with pytest.raises(ValueError, match="block length must be positive"):
+        notch_operator(n)(np.ones(10))
