@@ -1,5 +1,6 @@
 """Signal ingestion and generation: CSV, MIT-BIH 212-packed binary, synthetic
-ECG fixture, sinusoidal contamination, and a record's blocks and tiles."""
+ECG fixture, sinusoidal contamination, a record's blocks and tiles, and the
+row counts on which the block operators run their matrix products."""
 
 from __future__ import annotations
 
@@ -34,14 +35,11 @@ class Signal:
         return len(self.samples)
 
 
-# The cut between applying a block operator as one dense matrix product and
-# its long-block path. Suppression multiplies each block of at most 72 samples
-# by one integer N x N matrix; a longer block subtracts, for each target period
-# m, the period-m part of its fold to length m, tiled. The notch multiplies
-# each block of at most 72 samples by one Toeplitz matrix; a longer block is
-# filtered as sub-blocks of 72 // 2 = 36 samples with the biquad state carried
-# across them. 72 covers the paper's block sizes 36 and 72 with one product
-# per block.
+# The cut between applying a block operator as one dense N x N matrix product
+# and its long-block path: suppression subtracts the period-m parts of a longer
+# block's folds, and the notch filters it as sub-blocks of 72 // 2 = 36 samples
+# with the biquad state carried across them. 72 covers the paper's block sizes
+# 36 and 72 with one product per block.
 DENSE_BLOCK = 72
 
 # Entries kept by each cache of per-size constants (plans, bin periods, block
@@ -51,6 +49,34 @@ DENSE_BLOCK = 72
 _CACHE_SIZE = 16
 
 _TILE = 16_384  # samples in one tile of `tiles`: 128 KiB, which stays in cache
+
+# Row multiple of every 2-D matrix product in a block operator, which _rows
+# pads to and _product splits at. A BLAS kernel computes rows in groups of its
+# row unroll and the rows left over by other code, which may round otherwise,
+# so a block's bits would depend on its row. 16 held under OpenBLAS's SkylakeX,
+# Haswell, SandyBridge, Nehalem and Prescott kernels; 4 and 8 did not.
+_ROWS = 16
+
+
+def _rows(b: int, *shape: int) -> np.ndarray:
+    """Zeros of the given shape and b rows, for a product's input, rounded up
+    to a multiple of _ROWS unless b is 1: one row is alone in every product."""
+    return np.zeros((b if b == 1 else -(-b // _ROWS) * _ROWS, *shape))
+
+
+def _product(x: np.ndarray, op: np.ndarray, out: np.ndarray) -> None:
+    """Write x @ op into out, a different array: the rows up to the last
+    multiple of _ROWS, then the last _ROWS rows again, in place, which gives
+    the rows computed twice the same bits; fewer rows zero-padded by _rows."""
+    whole = len(x) // _ROWS * _ROWS
+    if not whole:
+        rows = _rows(len(x), x.shape[1])
+        rows[: len(x)] = x
+        out[...] = (rows @ op)[: len(x)]
+        return
+    np.matmul(x[:whole], op, out=out[:whole])
+    if whole < len(x):
+        np.matmul(x[-_ROWS:], op, out=out[-_ROWS:])
 
 
 def blocks(samples: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -67,15 +93,14 @@ def blocks(samples: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tiles(samples: np.ndarray, out: np.ndarray, n: int):
-    """(x, y) pairs over the length-n blocks of samples, one per row of x, whose
-    output goes into y. Every tile has the same row count, so that it stays in
-    cache and a product over it gives a block the same bits at any position
-    and for any record length: _TILE // n, rounded down to a multiple of 64
-    for n up to DENSE_BLOCK, and at least one. Tiles are views of samples and
-    of out, as long and C-contiguous; a record of whole blocks and at least a
-    tile ends on the view of its last tile's worth, overlapping the one before.
-    Otherwise the last tile holds the final partial tile, zero-padded, and its
-    y is copied, trimmed, into out when iteration ends."""
+    """(x, y) pairs over the length-n blocks of samples, one per row of x,
+    whose output goes into y. Every tile has the same row count, so that it
+    stays in cache: _TILE // n, rounded down to a multiple of 64 for n up to
+    DENSE_BLOCK, and at least one. Tiles are views of samples and of out, as
+    long and C-contiguous; a record of whole blocks and at least a tile ends on
+    the view of its last tile's worth, overlapping the one before. Otherwise
+    the last tile holds the final partial tile, zero-padded, and its y is
+    copied, trimmed, into out when iteration ends."""
     if n < 1:
         raise ValueError(f"block length must be positive, got {n}")
     rows = _TILE // n

@@ -1,20 +1,17 @@
 """Second-order IIR notch baseline: constant-skirt-gain biquad design and
 block-wise filtering with per-block state reset.
 
-With the state reset at each block, the notch is a linear operator per block:
-a causal convolution with the biquad's impulse response cut to the block
-length. It is applied one tile of io.tiles at a time, as suppress applies its
-operator, the final partial block zero-padded in the last tile: a block of at
-most io.DENSE_BLOCK samples takes one product with the lower-triangular
-Toeplitz matrix of that response, and a longer block is filtered as sub-blocks
-of io.DENSE_BLOCK // 2 samples with the biquad's two-value state carried
-across them (Burrus's block realization, IEEE Trans. Audio Electroacoust.
-20(4), 1972), with no loop over sub-blocks: products give every sub-block's
-zero-state response and end state, then, through powers of the sub-block's
-state transition, every start state and the response to it. Only a final
-partial block longer than io._TILE is read unpadded, since zeros after the
-record's end cannot change a causal filter's output. The matrices are built
-once for each design.
+With the state reset at each block, the notch is a linear operator per block: a
+causal convolution with the biquad's impulse response cut to the block length.
+It is applied one tile of io.tiles at a time, as suppress applies its operator:
+a block of at most io.DENSE_BLOCK samples takes one product with the
+lower-triangular Toeplitz matrix of that response, and a longer block is
+filtered as sub-blocks of io.DENSE_BLOCK // 2 samples with the biquad's state
+carried across them (Burrus's block realization, IEEE Trans. Audio
+Electroacoust. 20(4), 1972): products on io's row counts give every sub-block's
+zero-state response and end state, then every start state and the response to
+it. A final partial block longer than io._TILE is read unpadded. The matrices
+are built once per design.
 """
 
 from __future__ import annotations
@@ -25,11 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import _CACHE_SIZE, _TILE, DENSE_BLOCK, tiles
+from .io import _CACHE_SIZE, _TILE, DENSE_BLOCK, _product, _rows, tiles
 
-# Sub-blocks whose start states come from one product, for any N. The product's
-# 128 columns give each row of a tile the same bits in OpenBLAS; 130 did not.
-_GROUP = 63
+_GROUP = 64  # sub-blocks whose start states come from one product, for any N
 
 
 @dataclass(frozen=True)
@@ -196,44 +191,45 @@ def _filter_rows(samples, out, coeffs: BiquadCoeffs, block_size: int) -> None:
     size = len(samples) - len(samples) % block_size if block_size > _TILE else None
     for x, y in tiles(samples[:size], out[:size], block_size):  # rejects N < 1
         if op is not None:
-            np.matmul(x, op, out=y)
+            _product(x, op, y)
         else:
-            _filter_sub_blocks(x, y, design)
+            _filter_sub_blocks(x, y, design, block_size)
     if size is not None and size < len(samples):
-        _filter_sub_blocks(samples[size:][None], out[size:][None], design)
+        _filter_sub_blocks(samples[size:][None], out[size:][None], design, block_size)
 
 
-def _filter_sub_blocks(rows, out, design: tuple) -> None:
-    """Filter each row, a long block or a final partial block, into the same
-    row of out, as sub-blocks of s = design[-1] samples, whole groups of
-    sub-blocks at a time, with the state carried from span to span. A span is
-    zero-padded to whole sub-blocks when s does not divide it."""
+def _filter_sub_blocks(rows, out, design: tuple, n: int) -> None:
+    """Filter each row, a length-n block or a final partial block, into the
+    same row of out, as sub-blocks of s = design[-1] samples, with the state
+    carried from span to span. A span is zero-padded to whole sub-blocks, and
+    a partial block's last one to whole groups, up to its width in a block."""
     s = design[-1]
     op, _, _, carry = _sub_block_operators(*design)
     end_map, start_map = _state_maps(*design)
-    b, n = rows.shape
+    b = len(rows)
     span = min(n, _TILE // (_GROUP * s) * _GROUP * s)  # samples of a row at a time
-    start = 0.0  # the state the span's first sub-block starts in
-    for j in range(0, n, span):
+    for j in range(0, rows.shape[1], span):
         x, y = rows[:, j : j + span], out[:, j : j + span]
         w = x.shape[1]
-        k = -(-w // s)  # sub-blocks per row of the span
+        # sub-blocks per row of the span, in whole groups past the record's end
+        k = min(-(-min(span, n - j) // s), -(-w // (_GROUP * s)) * _GROUP)
         if k * s != w:
             x = np.zeros((b, k * s))
             x[:, :w] = rows[:, j : j + span]
             y = np.empty_like(x)
-        np.matmul(x.reshape(-1, s), op, out=y.reshape(-1, s))
+        _product(x.reshape(-1, s), op, y.reshape(-1, s))
         # states[:, t + 1]: the state sub-block t ends in from a zero start
-        states = np.empty((b, k + 1, 2))
-        states[:, 0] = start
-        np.matmul(x.reshape(b, k, s), end_map, out=states[:, 1:])
+        states = _rows(b, k + 1, 2)
+        if j:  # states[:, 0]: the state the span starts in, zero in the first
+            states[:b, 0] = start
+        np.matmul(x.reshape(b, k, s), end_map, out=states[:b, 1:])
         y3 = y.reshape(b, k, s)
         for g in range(0, k, _GROUP):
             size = min(_GROUP, k - g)
-            group = states[:, g : g + size + 1].reshape(b, -1)
+            group = states[:, g : g + size + 1].reshape(len(states), -1)
             group = group @ start_map[: 2 * size + 2, : 2 * size + 2]
-            states[:, g : g + size + 1] = group.reshape(b, -1, 2)
-            y3[:, g : g + size] += states[:, g : g + size] @ carry
-        start = states[:, k]
+            states[:, g : g + size + 1] = group.reshape(len(states), -1, 2)
+            y3[:, g : g + size] += states[:b, g : g + size] @ carry
+        start = states[:b, k]
         if k * s != w:
             out[:, j : j + span] = y[:, :w]

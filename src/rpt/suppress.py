@@ -7,12 +7,10 @@ applied to each block of a record, into a given output, one tile of io.tiles
 at a time: blocks of at most io.DENSE_BLOCK samples as one matrix product,
 divided by N in cache, with P_m = C_m / N, C_m the m x m circulant of the
 integer Ramanujan sum s_m tiled N / m times each way; longer blocks as the
-input rows minus the period-m part of their fold to length m, tiled
-(transform.period_part: the fold times C_m, divided by N, for m up to
-io.DENSE_BLOCK, and the fold's m-point FFT pair for longer m). `run` and
-metrics.compare_grid call it. The dense operator depends only on N and the
-target periods, and both paths share one float copy of each C_m: each is
-built once.
+input rows minus the period-m part of their fold to length m
+(transform.period_part), tiled. `run` and metrics.compare_grid call it. The
+dense operator depends only on N and the target periods, and both paths share
+one float copy of each C_m: each is built once.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import _CACHE_SIZE, DENSE_BLOCK, Signal, tiles
+from .io import _CACHE_SIZE, DENSE_BLOCK, Signal, _product, tiles
 from .transform import (  # ConfigurationError and admissible_hint are re-exported
     CoefficientVector,
     ConfigurationError,
@@ -111,7 +109,7 @@ def _suppress_rows(samples, out, n: int, targets: frozenset[int]) -> None:
     op = _dense_operator(n, targets) if 0 < n <= DENSE_BLOCK else None
     for x, y in tiles(samples, out, n):  # rejects n < 1
         if op is not None:
-            np.matmul(x, op, out=y)  # op is symmetric
+            _product(x, op, y)  # op is symmetric
             y /= n
         elif targets:
             for k, m in enumerate(targets):

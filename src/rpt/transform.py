@@ -2,15 +2,15 @@
 synthesis, projections, per-period energy spectra, and the binding of an
 interference frequency to its subspace (or the block sizes that would bind it).
 
-The transform matrix concatenates the shift bases of every divisor of the
-block length. The period-m subspace of a length-N block is exactly the span
-of the DFT bins k with N / gcd(k, N) = m: energy spectra sum groups of DFT
-bins. Projections read the block only through its fold to length m: for m up
-to io.DENSE_BLOCK the period-m part is the fold times the integer circulant of
-the Ramanujan sum s_m, divided by N; longer periods filter the fold's m-point
-DFT. The coefficient view (forward/inverse) solves each subspace against its
-closed-form Gram matrix; distinct subspaces are mutually orthogonal, so this
-equals the dense matrix inverse.
+The transform matrix concatenates the shift bases of every divisor of the block
+length. The period-m subspace of a length-N block is exactly the span of the
+DFT bins k with N / gcd(k, N) = m: energy spectra sum groups of DFT bins.
+Projections read the block only through its fold to length m: for m up to
+io.DENSE_BLOCK the period-m part is the fold times the integer circulant of the
+Ramanujan sum s_m, divided by N, on io's row counts; longer periods filter the
+fold's m-point DFT. The coefficient view (forward/inverse) solves each subspace
+against its closed-form Gram matrix; distinct subspaces are mutually
+orthogonal, so this equals the dense matrix inverse.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .io import _CACHE_SIZE, DENSE_BLOCK
+from .io import _CACHE_SIZE, DENSE_BLOCK, _rows
 from .ramanujan import circulant, divisors, euler_totient, shift_basis
 
 
@@ -165,15 +165,16 @@ def float_circulant(m: int) -> np.ndarray:
 def period_part(rows: np.ndarray, m: int) -> np.ndarray:
     """One period (B x m) of each row's projection onto the period-m subspace,
     m | N. It reads a row only through its fold, the sum of its N / m length-m
-    segments. For m <= io.DENSE_BLOCK the part is the fold times the symmetric
-    integer circulant C_m, divided by N after the product (which overflows
-    where an FFT would); io.tiles gives it one row count per N, so that a
-    row's bits do not depend on the record. For longer m the fold's m-point
-    DFT keeps its bins of period m: its bin j is the row's bin j N / m."""
+    segments. For m <= io.DENSE_BLOCK the part is the fold, in io._rows, times
+    the symmetric integer circulant C_m, divided by N after the product (which
+    overflows where an FFT would). For longer m the fold's m-point DFT keeps
+    its bins of period m: its bin j is the row's bin j N / m."""
     b, n = rows.shape
     segments = rows.reshape(b, n // m, m)
     if m <= DENSE_BLOCK:
-        return np.einsum("ijk->ik", segments) @ float_circulant(m) / n
+        fold = _rows(b, m)
+        np.einsum("ijk->ik", segments, out=fold[:b])
+        return (fold @ float_circulant(m) / n)[:b]
     folded = rows if m == n else np.einsum("ijk->ik", segments)
     spectrum = np.fft.rfft(folded, axis=1)
     spectrum *= (bin_periods(m)[: m // 2 + 1] == m) / (n // m)

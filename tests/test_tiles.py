@@ -241,3 +241,25 @@ def test_a_whole_block_record_ends_with_an_overlapping_view():
 def test_negative_block_size_is_rejected_by_the_notch(n):
     with pytest.raises(ValueError, match="block length must be positive"):
         notch_operator(n)(np.ones(10))
+
+
+# 100 Hz, the 50 Hz mains' second harmonic, binds to the period 18 at fs = 360
+@pytest.mark.parametrize("n", [108, 144, 252, 360, 720, 1440])
+@pytest.mark.parametrize("make", [rpt_360hz_operator, notch_360hz_operator])
+def test_long_block_at_any_position_past_two_tiles_at_100_hz_has_one_bit_pattern(
+    make, n
+):
+    count = 2 * tile_rows(n) + 3
+    assert len(position_patterns(make(n, 100.0), n, count, 7)) == 1
+
+
+# Past io._TILE the notch reads the final partial block unpadded: its last span
+# is padded to whole groups of sub-blocks, up to that span's width in a block
+@pytest.mark.parametrize("n", [16_416, 20_000, 50_000])
+def test_notch_partial_block_past_a_tile_equals_the_padded_record_trimmed(n):
+    apply = notch_operator(n)
+    for size in (n - 1, n + 1, 2 * n + n // 3, 3 * n - 1):
+        x = np.random.default_rng(size).normal(size=size)
+        padded = np.zeros(-(-size // n) * n)
+        padded[:size] = x
+        assert np.array_equal(apply(x), apply(padded)[:size])
