@@ -1,9 +1,15 @@
 """Signal ingestion and generation: CSV, MIT-BIH 212-packed binary, synthetic
-ECG fixture, sinusoidal contamination, a record's blocks and tiles, and the
-row counts on which the block operators run their matrix products."""
+ECG fixture, sinusoidal contamination, a record's blocks and tiles, the row
+counts on which the block operators run their matrix products, and the cut
+that runs a record's tiles on two cores."""
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,6 +98,14 @@ def blocks(samples: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return samples[:whole].reshape(-1, n), tail
 
 
+def _step(n: int) -> int:
+    """Samples in one tile of `tiles` at block length n."""
+    if n < 1:
+        raise ValueError(f"block length must be positive, got {n}")
+    rows = _TILE // n
+    return max(rows // 64 * 64 if n <= DENSE_BLOCK else rows, 1) * n
+
+
 def tiles(samples: np.ndarray, out: np.ndarray, n: int):
     """(x, y) pairs over the length-n blocks of samples, one per row of x,
     whose output goes into y. Every tile has the same row count, so that it
@@ -101,10 +115,7 @@ def tiles(samples: np.ndarray, out: np.ndarray, n: int):
     the view of its last tile's worth, overlapping the one before. Otherwise
     the last tile holds the final partial tile, zero-padded, and its y is
     copied, trimmed, into out when iteration ends."""
-    if n < 1:
-        raise ValueError(f"block length must be positive, got {n}")
-    rows = _TILE // n
-    step = max(rows // 64 * 64 if n <= DENSE_BLOCK else rows, 1) * n
+    step = _step(n)
     whole = len(samples) // step * step
     for i in range(0, whole, step):
         yield samples[i : i + step].reshape(-1, n), out[i : i + step].reshape(-1, n)
@@ -114,6 +125,94 @@ def tiles(samples: np.ndarray, out: np.ndarray, n: int):
         x, y = blocks(samples[whole:], step)[1], np.empty(step)
         yield x.reshape(-1, n), y.reshape(-1, n)
         out[whole:] = y[: len(samples) - whole]
+
+
+def halves(apply, samples: np.ndarray, out: np.ndarray, n: int, *args) -> None:
+    """Run apply(samples, out, n, *args), a function that writes each length-n
+    block of samples into out one tile of `tiles` at a time. For n up to
+    DENSE_BLOCK, where a tile is one matrix product that releases the GIL, a
+    record of at least two whole tiles is cut in two when _parallel() holds:
+    cut is half its tiles, the last partial one counted, rounded down.
+    samples[:cut], whole tiles only, which allocate nothing, so the helper
+    holds no memory of its own, runs on a helper thread in this thread's
+    context (numpy's error state), and samples[cut:] here. Both parts are
+    tiled as the whole record is, so the output has the same bits. An
+    exception in either part is raised here once both have finished."""
+    step = _step(n) if 0 < n <= DENSE_BLOCK else 0
+    if not (step and len(samples) >= 2 * step and _parallel()):
+        apply(samples, out, n, *args)
+        return
+    cut = -(-len(samples) // step) // 2 * step
+    run = contextvars.copy_context().run
+    done = _submit((run, apply, samples[:cut], out[:cut], n, *args))
+    try:
+        apply(samples[cut:], out[cut:], n, *args)
+    finally:
+        error = done.get()
+    if error is not None:
+        raise error
+
+
+@functools.cache
+def _openblas_threads():
+    """The thread-count getter of numpy's bundled OpenBLAS (a Linux wheel's
+    numpy.libs), or None where there is none."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        [name] = [
+            f
+            for f in os.listdir(libs)
+            if f.startswith("libscipy_openblas64_") and f.endswith(".so")
+        ]
+        getter = ctypes.CDLL(os.path.join(libs, name)).scipy_openblas_get_num_threads64_
+    except (OSError, ValueError, AttributeError):
+        return None
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter
+
+
+def _parallel() -> bool:
+    """Whether a second core is free for half a record: the process may run
+    on two CPUs or more and numpy's OpenBLAS runs one thread, read per call
+    because it can change at run time."""
+    threads = _openblas_threads()
+    return threads is not None and threads() == 1 and len(os.sched_getaffinity(0)) > 1
+
+
+# The helper thread of `halves` and its queue of jobs, started on first use
+_helper: threading.Thread | None = None
+_jobs = None
+_start = threading.Lock()
+
+
+def _submit(job: tuple):
+    """Put job, (function, *args), on the helper thread, started on first use
+    and again in a forked child, which has lost it. Return the queue that then
+    gets the exception the call raised, or None."""
+    global _helper, _jobs
+    from _queue import SimpleQueue  # `queue` and concurrent.futures cost ms
+
+    done = SimpleQueue()
+    with _start:
+        if _helper is None or not _helper.is_alive():
+            _jobs = SimpleQueue()
+            _helper = threading.Thread(
+                target=_serve, args=(_jobs,), name="rpt-halves", daemon=True
+            )
+            _helper.start()
+        _jobs.put((job, done))
+    return done
+
+
+def _serve(jobs) -> None:
+    while True:
+        (fn, *args), done = jobs.get()
+        try:
+            fn(*args)
+        except BaseException as exc:  # re-raised by the caller
+            done.put(exc)
+        else:
+            done.put(None)
 
 
 def read_csv(path: str | Path, column: int = 0, fs: float = 360.0) -> Signal:

@@ -5,13 +5,13 @@ With the state reset at each block, the notch is a linear operator per block: a
 causal convolution with the biquad's impulse response cut to the block length.
 It is applied one tile of io.tiles at a time, as suppress applies its operator:
 a block of at most io.DENSE_BLOCK samples takes one product with the
-lower-triangular Toeplitz matrix of that response, and a longer block is
-filtered as sub-blocks of io.DENSE_BLOCK // 2 samples with the biquad's state
-carried across them (Burrus's block realization, IEEE Trans. Audio
-Electroacoust. 20(4), 1972): products on io's row counts give every sub-block's
-zero-state response and end state, then every start state and the response to
-it. A final partial block longer than io._TILE is read unpadded. The matrices
-are built once per design.
+lower-triangular Toeplitz matrix of that response, on two cores where io.halves
+cuts the record, and a longer block is filtered as sub-blocks of
+io.DENSE_BLOCK // 2 samples with the biquad's state carried across them
+(Burrus's block realization, IEEE Trans. Audio Electroacoust. 20(4), 1972):
+products on io's row counts give every sub-block's zero-state response and end
+state, then every start state and the response to it. A final partial block
+longer than io._TILE is read unpadded. The matrices are built once per design.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import _CACHE_SIZE, _TILE, DENSE_BLOCK, _product, _rows, tiles
+from .io import _CACHE_SIZE, _TILE, DENSE_BLOCK, _product, _rows, halves, tiles
 
 _GROUP = 64  # sub-blocks whose start states come from one product, for any N
 
@@ -181,21 +181,26 @@ def _state_maps(
 
 def _filter_rows(samples, out, coeffs: BiquadCoeffs, block_size: int) -> None:
     """Filter each block of samples into out, a 1-D array of the same length,
-    one tile of io.tiles at a time, and after them a final partial block
-    longer than io._TILE, unpadded: padding it would cost a whole block."""
+    one tile of io.tiles at a time through io.halves, and after them a final
+    partial block longer than io._TILE, unpadded: padding it would cost a
+    whole block."""
     # The zero-state product costs s multiply-adds a sample; 36 was among the
     # fastest of 24, 36, 48 and 72 at N = 360 to 1440.
     s = block_size if block_size <= DENSE_BLOCK else DENSE_BLOCK // 2
     design = (coeffs.b0, coeffs.b1, coeffs.b2, coeffs.a1, coeffs.a2, s)
     op = _sub_block_operators(*design)[0] if 0 < block_size <= DENSE_BLOCK else None
     size = len(samples) - len(samples) % block_size if block_size > _TILE else None
-    for x, y in tiles(samples[:size], out[:size], block_size):  # rejects N < 1
+    halves(_filter_tiles, samples[:size], out[:size], block_size, op, design)
+    if size is not None and size < len(samples):
+        _filter_sub_blocks(samples[size:][None], out[size:][None], design, block_size)
+
+
+def _filter_tiles(samples, out, n: int, op, design: tuple) -> None:
+    for x, y in tiles(samples, out, n):  # rejects N < 1
         if op is not None:
             _product(x, op, y)
         else:
-            _filter_sub_blocks(x, y, design, block_size)
-    if size is not None and size < len(samples):
-        _filter_sub_blocks(samples[size:][None], out[size:][None], design, block_size)
+            _filter_sub_blocks(x, y, design, n)
 
 
 def _filter_sub_blocks(rows, out, design: tuple, n: int) -> None:

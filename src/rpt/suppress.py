@@ -6,11 +6,12 @@ and reconstructs. `_suppress_rows` writes the same operator I - sum of P_m,
 applied to each block of a record, into a given output, one tile of io.tiles
 at a time: blocks of at most io.DENSE_BLOCK samples as one matrix product,
 divided by N in cache, with P_m = C_m / N, C_m the m x m circulant of the
-integer Ramanujan sum s_m tiled N / m times each way; longer blocks as the
-input rows minus the period-m part of their fold to length m
-(transform.period_part), tiled. `run` and metrics.compare_grid call it. The
-dense operator depends only on N and the target periods, and both paths share
-one float copy of each C_m: each is built once.
+integer Ramanujan sum s_m tiled N / m times each way, on two cores where
+io.halves cuts the record; longer blocks as the input rows minus the period-m
+part of their fold to length m (transform.period_part), tiled. `run` and
+metrics.compare_grid call it. The dense operator depends only on N and the
+target periods, and both paths share one float copy of each C_m: each is built
+once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import _CACHE_SIZE, DENSE_BLOCK, Signal, _product, tiles
+from .io import _CACHE_SIZE, DENSE_BLOCK, Signal, _product, halves, tiles
 from .transform import (  # ConfigurationError and admissible_hint are re-exported
     CoefficientVector,
     ConfigurationError,
@@ -103,10 +104,14 @@ def run(signal: Signal, config: SuppressionConfig) -> Signal:
 def _suppress_rows(samples, out, n: int, targets: frozenset[int]) -> None:
     """Write I - sum of P_m over the target periods m, applied to each length-n
     block of samples, the last one zero-padded, into out, a 1-D array as long
-    that does not overlap samples, one tile of io.tiles at a time. A long
-    block's output is the sum of its target parts, tiled, subtracted from the
-    block in one flat pass."""
+    that does not overlap samples, one tile of io.tiles at a time through
+    io.halves. A long block's output is the sum of its target parts, tiled,
+    subtracted from the block in one flat pass."""
     op = _dense_operator(n, targets) if 0 < n <= DENSE_BLOCK else None
+    halves(_suppress_tiles, samples, out, n, op, targets)
+
+
+def _suppress_tiles(samples, out, n: int, op, targets: frozenset[int]) -> None:
     for x, y in tiles(samples, out, n):  # rejects n < 1
         if op is not None:
             _product(x, op, y)  # op is symmetric
