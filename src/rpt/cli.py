@@ -105,7 +105,6 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=float, default=1.0, help="notch quality factor")
     p.add_argument(
         "--plot-csv",
-        default=None,
         help="also write index,original,cleaned columns for external plotting",
     )
     p.set_defaults(command=_cmd_denoise)
@@ -121,7 +120,6 @@ def build_parser() -> _Parser:
     p.add_argument("--output", required=True, help="report CSV path")
     p.add_argument(
         "--block-errors-dir",
-        default=None,
         help="directory for per-block error CSVs (one file per grid cell)",
     )
     p.set_defaults(command=_cmd_compare)

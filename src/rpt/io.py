@@ -73,13 +73,11 @@ def _rows(b: int, *shape: int) -> np.ndarray:
 def _product(x: np.ndarray, op: np.ndarray, out: np.ndarray) -> None:
     """Write x @ op into out, a different array: the rows up to the last
     multiple of _ROWS, then the last _ROWS rows again, in place, which gives
-    the rows computed twice the same bits; fewer rows zero-padded by _rows."""
+    the rows computed twice the same bits. Fewer rows take one product: only
+    the notch's last span of a block longer than one span has them, in a
+    one-row tile, and N fixes how many, so the block's bits do not depend on
+    where it sits."""
     whole = len(x) // _ROWS * _ROWS
-    if not whole:
-        rows = _rows(len(x), x.shape[1])
-        rows[: len(x)] = x
-        out[...] = (rows @ op)[: len(x)]
-        return
     np.matmul(x[:whole], op, out=out[:whole])
     if whole < len(x):
         np.matmul(x[-_ROWS:], op, out=out[-_ROWS:])
@@ -110,11 +108,13 @@ def tiles(samples: np.ndarray, out: np.ndarray, n: int):
     """(x, y) pairs over the length-n blocks of samples, one per row of x,
     whose output goes into y. Every tile has the same row count, so that it
     stays in cache: _TILE // n, rounded down to a multiple of 64 for n up to
-    DENSE_BLOCK, and at least one. Tiles are views of samples and of out, as
-    long and C-contiguous; a record of whole blocks and at least a tile ends on
-    the view of its last tile's worth, overlapping the one before. Otherwise
-    the last tile holds the final partial tile, zero-padded, and its y is
-    copied, trimmed, into out when iteration ends."""
+    DENSE_BLOCK, and at least one. Tiles are views of samples and of out, both
+    C-contiguous, out as long as samples or rounded up to whole blocks; a
+    record of whole blocks and at least a tile ends on the view of its last
+    tile's worth, overlapping the one before. Otherwise the last tile holds
+    the final partial tile, zero-padded, and when iteration ends its y is
+    copied into out up to out's end: the padded final block's whole output
+    where out has room for it."""
     step = _step(n)
     whole = len(samples) // step * step
     for i in range(0, whole, step):
@@ -124,7 +124,7 @@ def tiles(samples: np.ndarray, out: np.ndarray, n: int):
     elif whole < len(samples):
         x, y = blocks(samples[whole:], step)[1], np.empty(step)
         yield x.reshape(-1, n), y.reshape(-1, n)
-        out[whole:] = y[: len(samples) - whole]
+        out[whole:] = y[: len(out) - whole]
 
 
 def halves(apply, samples: np.ndarray, out: np.ndarray, n: int, *args) -> None:
@@ -138,7 +138,7 @@ def halves(apply, samples: np.ndarray, out: np.ndarray, n: int, *args) -> None:
     context (numpy's error state), and samples[cut:] here. Both parts are
     tiled as the whole record is, so the output has the same bits. An
     exception in either part is raised here once both have finished."""
-    step = _step(n) if 0 < n <= DENSE_BLOCK else 0
+    step = _step(n) if n <= DENSE_BLOCK else 0  # _step rejects n < 1
     if not (step and len(samples) >= 2 * step and _parallel()):
         apply(samples, out, n, *args)
         return
@@ -159,11 +159,7 @@ def _openblas_threads():
     numpy.libs), or None where there is none."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
     try:
-        [name] = [
-            f
-            for f in os.listdir(libs)
-            if f.startswith("libscipy_openblas64_") and f.endswith(".so")
-        ]
+        [name] = [f for f in os.listdir(libs) if f.startswith("libscipy_openblas64_")]
         getter = ctypes.CDLL(os.path.join(libs, name)).scipy_openblas_get_num_threads64_
     except (OSError, ValueError, AttributeError):
         return None
@@ -327,8 +323,6 @@ def add_sinusoid(
         raise ValueError(f"amplitude must be finite, got {amplitude}")
     if not np.isfinite(phase):
         raise ValueError(f"phase must be finite, got {phase}")
-    if amplitude == 0.0:
-        return signal
     n = np.arange(len(signal))
     with np.errstate(over="ignore", invalid="ignore"):
         tone = amplitude * np.sin(2.0 * np.pi * f0 * n / signal.fs + phase)

@@ -1,8 +1,9 @@
 """Per-block squared Euclidean error, total error, and the comparison grid
 between subspace suppression and the notch baseline. The grid applies the
-row functions that suppress.run and notch.filter_blocked call to the padded
-contaminated record, into one buffer per block size, and scores each output
-there against the unpadded clean record in place."""
+row functions that suppress.run and notch.filter_blocked call to the
+contaminated record, into one buffer of whole blocks per block size, which
+io.tiles fills with the padded final block's whole output, and scores each
+output there against the clean record in place; neither record is copied."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .io import _TILE, DataFormatError, Signal, blocks, table
+from .io import _TILE, DataFormatError, Signal, table
 from .notch import _filter_rows, design_notch
 from .suppress import SuppressionConfig, _suppress_rows
 
@@ -70,11 +71,11 @@ def compare_grid(
 ) -> list[SuppressionReport]:
     """Run both suppression methods at each block size and score against clean.
 
-    The final partial block is zero-padded on the contaminated input and
-    scored over the whole padded block, against a clean reference that is
-    zero past the record's end: each method writes its output and then its
-    error into the same buffer. A total error past the float range raises
-    DataFormatError.
+    The final partial block is scored over its whole zero-padded block, as
+    io.tiles writes it into a buffer of whole blocks, against a clean
+    reference that is zero past the record's end: each method writes its
+    output and then its error into the same buffer. A total error past the
+    float range raises DataFormatError.
     """
     if len(clean) != len(contaminated) or clean.fs != contaminated.fs:
         raise ValueError("clean and contaminated signals must match in length and fs")
@@ -82,14 +83,13 @@ def compare_grid(
         raise ValueError("empty signal")
     reports = []
     for n in block_sizes:
-        dirty = _padded(contaminated.samples, n).reshape(-1)
         targets = SuppressionConfig(n, (f0,), clean.fs).target_spaces()
         coeffs = design_notch(f0, clean.fs, q)
-        recon = np.empty((len(dirty) // n, n))  # each output, then its error
+        recon = np.empty((-(-len(clean) // n), n))  # each output, then its error
         flat = recon.reshape(-1)
         for method, apply in (
-            ("rpt", lambda: _suppress_rows(dirty, flat, n, targets)),
-            ("notch", lambda: _filter_rows(dirty, flat, coeffs, n)),
+            ("rpt", lambda: _suppress_rows(contaminated.samples, flat, n, targets)),
+            ("notch", lambda: _filter_rows(contaminated.samples, flat, coeffs, n)),
         ):
             apply()
             # past the record's end the error is -recon: the same square
@@ -101,13 +101,6 @@ def compare_grid(
                 )
             reports.append(report)
     return reports
-
-
-def _padded(samples: np.ndarray, n: int) -> np.ndarray:
-    """Every length-n block, one per row, the final one zero-padded; a view of
-    samples when n divides their length."""
-    whole, tail = blocks(samples, n)
-    return np.concatenate((whole, tail)) if len(tail) else whole
 
 
 def write_report_csv(reports: list[SuppressionReport], path: str | Path) -> None:

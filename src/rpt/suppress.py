@@ -107,14 +107,13 @@ def _suppress_rows(samples, out, n: int, targets: frozenset[int]) -> None:
     that does not overlap samples, one tile of io.tiles at a time through
     io.halves. A long block's output is the sum of its target parts, tiled,
     subtracted from the block in one flat pass."""
-    op = _dense_operator(n, targets) if 0 < n <= DENSE_BLOCK else None
-    halves(_suppress_tiles, samples, out, n, op, targets)
+    halves(_suppress_tiles, samples, out, n, targets)
 
 
-def _suppress_tiles(samples, out, n: int, op, targets: frozenset[int]) -> None:
+def _suppress_tiles(samples, out, n: int, targets: frozenset[int]) -> None:
     for x, y in tiles(samples, out, n):  # rejects n < 1
-        if op is not None:
-            _product(x, op, y)  # op is symmetric
+        if n <= DENSE_BLOCK:
+            _product(x, _dense_operator(n, targets), y)  # the operator is symmetric
             y /= n
         elif targets:
             for k, m in enumerate(targets):

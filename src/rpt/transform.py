@@ -176,9 +176,9 @@ def period_part(rows: np.ndarray, m: int) -> np.ndarray:
         np.einsum("ijk->ik", segments, out=fold[:b])
         return (fold @ float_circulant(m) / n)[:b]
     folded = rows if m == n else np.einsum("ijk->ik", segments)
-    spectrum = np.fft.rfft(folded, axis=1)
+    spectrum = np.fft.rfft(folded)
     spectrum *= (bin_periods(m)[: m // 2 + 1] == m) / (n // m)
-    return np.fft.irfft(spectrum, n=m, axis=1)
+    return np.fft.irfft(spectrum, n=m)
 
 
 def project(plan: TransformPlan, x: np.ndarray, m: int) -> np.ndarray:
@@ -196,7 +196,7 @@ def energy_spectrum(plan: TransformPlan, x: np.ndarray) -> dict[int, float]:
     sum to ||x||^2 (orthogonal decomposition).
     """
     power = np.abs(np.fft.fft(_check_block(plan, x))) ** 2 / plan.n
-    sums = np.bincount(bin_periods(plan.n), weights=power, minlength=plan.n + 1)
+    sums = np.bincount(bin_periods(plan.n), weights=power)
     return {m: float(sums[m]) for m in plan.divisors}
 
 

@@ -105,3 +105,16 @@ def test_filter_blocked_pads_no_final_block():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * x.nbytes
+
+
+def test_split_takes_one_sample_blocks_and_rejects_shorter():
+    whole, tail = blocks(np.arange(3.0), 1)
+    assert whole.shape == (3, 1) and tail.shape == (0, 1)
+    with pytest.raises(ValueError, match="block length must be positive"):
+        blocks(np.arange(3.0), 0)
+
+
+def test_split_gives_float_blocks_of_integer_samples():
+    whole, tail = blocks([1, 2, 3], 2)
+    assert whole.dtype == tail.dtype == float
+    assert np.array_equal(whole, [[1.0, 2.0]]) and np.array_equal(tail, [[3.0, 0.0]])

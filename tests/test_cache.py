@@ -193,3 +193,22 @@ def test_every_field_of_a_cached_plan_and_binding_is_frozen():
         for field in dataclasses.fields(shared):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(shared, field.name, None)
+
+
+def test_a_binding_is_cached_per_argument_type():
+    """np.float32(50.1) reads as 50.1 and binds at N = 3600; the equal float
+    50.099998474121094 has no bin there and must not get that binding."""
+    space_for_frequency.cache_clear()
+    single = np.float32(50.1)
+    assert space_for_frequency(single, FS, 3600).bin == 501
+    assert single == 50.099998474121094
+    with pytest.raises(FrequencyNotRepresentable):
+        space_for_frequency(50.099998474121094, FS, 3600)
+
+
+def test_circulant_cache_stays_within_the_bound_after_more_periods():
+    float_circulant.cache_clear()
+    for m in range(1, 2 * _CACHE_SIZE + 1):
+        float_circulant(m)
+    info = float_circulant.cache_info()
+    assert info.maxsize == _CACHE_SIZE and info.currsize <= _CACHE_SIZE

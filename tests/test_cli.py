@@ -13,6 +13,9 @@ import pytest
 import rpt
 from rpt.cli import dispatch
 from rpt.io import read_csv, write_csv, Signal
+from rpt.cli import build_parser
+from rpt.io import add_sinusoid, synth_ecg
+from rpt.metrics import compare_grid
 from test_io import pack_frames
 
 
@@ -673,3 +676,125 @@ def test_long_block_overflow_is_one_data_error_line(tmp_path, capsys, n, f0):
     assert code == 2
     assert err.startswith("data error:") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_parser_defaults():
+    """The defaults the README documents: a 300 s record at 72 bpm and 360 Hz,
+    a 0.5 tone at 50 Hz, block 0, Q = 1 and the paper's block sizes."""
+    parse = build_parser().parse_args
+    args = vars(parse(["synth", "--output", "o"]))
+    assert (args["duration"], args["fs"], args["heart_rate"]) == (300.0, 360.0, 72.0)
+    args = vars(parse(["contaminate", "--input", "i", "--output", "o"]))
+    assert (args["f0"], args["amplitude"], args["phase"]) == (50.0, 0.5, 0.0)
+    assert args["format"] == "csv" and args["column"] == 0
+    args = vars(parse(["spectrum", "--input", "i", "--block-size", "36"]))
+    assert args["block_index"] == 0
+    args = vars(parse(["compare", "--clean", "c", "--dirty", "d", "--output", "o"]))
+    assert (args["fs"], args["column"], args["f0"], args["q"]) == (360.0, 0, 50.0, 1.0)
+    assert args["block_sizes"] == "36,72,108,144,180"
+
+
+CONTAMINATE = ["contaminate", "--input", "IN", "--output", "OUT"]
+SPECTRUM = ["spectrum", "--input", "IN", "--block-size", "36"]
+DENOISE = ["denoise", "--input", "IN", "--output", "OUT", "--block-size", "36"]
+COMPARE = ["compare", "--clean", "IN", "--dirty", "IN", "--output", "OUT"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (CONTAMINATE, "--input"),
+        (CONTAMINATE, "--output"),
+        (SPECTRUM, "--block-size"),
+        (DENOISE, "--output"),
+        (DENOISE, "--block-size"),
+        (COMPARE, "--clean"),
+        (COMPARE, "--dirty"),
+        (COMPARE, "--output"),
+    ],
+)
+def test_a_missing_required_flag_is_one_usage_line(tmp_path, capsys, argv, flag):
+    paths = {"IN": str(synth_file(tmp_path)), "OUT": str(tmp_path / "o.csv")}
+    argv = [paths.get(a, a) for a in argv]
+    del argv[argv.index(flag) : argv.index(flag) + 2]
+    assert dispatch(argv) == 1
+    assert capsys.readouterr() == (
+        "",
+        f"usage error: the following arguments are required: {flag}\n",
+    )
+
+
+@pytest.mark.parametrize("flag", ["--method", "--format"])
+def test_an_unknown_choice_is_one_usage_line(tmp_path, capsys, flag):
+    argv = ["denoise", "--input", str(synth_file(tmp_path)), "--block-size", "36"]
+    assert dispatch([*argv, "--output", str(tmp_path / "o.csv"), flag, "foo"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument {flag}: invalid choice: 'foo'"), err
+
+
+def test_contaminate_212_reads_the_channel_and_rate_given(tmp_path):
+    raw0, raw1 = [1024, 1224, 824], [-5, 7, 2000]
+    path = tmp_path / "r.dat"
+    path.write_bytes(pack_frames(raw0, raw1))
+    out = tmp_path / "o.csv"
+    argv = ["contaminate", "--input", str(path), "--format", "wfdb212", "--gain", "1"]
+    argv += ["--channels", "2", "--channel", "1", "--baseline", "0", "--fs", "500"]
+    argv += ["--f0", "200", "--amplitude", "0", "--output", str(out)]
+    assert dispatch(argv) == 0
+    assert read_csv(out).samples.tolist() == [-5.0, 7.0, 2000.0]
+
+
+def test_spectrum_takes_the_last_whole_block(tmp_path, capsys):
+    clean = synth_file(tmp_path)  # 3600 samples: blocks 0 to 99 of 36
+    argv = ["spectrum", "--input", str(clean), "--block-size", "36"]
+    assert dispatch([*argv, "--block-index", "99"]) == 0
+    assert capsys.readouterr().out.startswith("period,energy,fraction\n1,")
+
+
+def test_spectrum_fractions_of_a_block_with_energy_below_one(tmp_path, capsys):
+    path = tmp_path / "small.csv"
+    write_csv(Signal(samples=np.full(4, 0.1), fs=360.0), path)
+    assert dispatch(["spectrum", "--input", str(path), "--block-size", "4"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [float(r["fraction"]) for r in rows] == [1.0, 0.0, 0.0]
+
+
+def test_compare_reads_the_column_and_rate_given(tmp_path, capsys):
+    """Column 1 of both files at 350 Hz, where 50 Hz has an integer bin at
+    N = 35 and 360 Hz has none; column 0 holds the other file's record, so
+    reading it from either file would change the errors."""
+    clean = synth_ecg(2.0, 350.0, 72.0)
+    dirty = add_sinusoid(clean, 50.0, 0.5)
+    paths = []
+    for name, sig, other in (("clean", clean, dirty), ("dirty", dirty, clean)):
+        path = tmp_path / f"{name}.csv"
+        pairs = zip(other.samples.tolist(), sig.samples.tolist())
+        path.write_text("".join(f"{u!r},{v!r}\n" for u, v in pairs), "utf-8")
+        paths += [f"--{name}", str(path)]
+    argv = ["compare", *paths, "--column", "1", "--fs", "350", "--block-sizes", "35"]
+    assert dispatch([*argv, "--output", str(tmp_path / "r.csv")]) == 0
+    rows = list(csv.DictReader((tmp_path / "r.csv").read_text().splitlines()))
+    want = compare_grid(clean, dirty, [35], 50.0, 1.0)
+    assert [float(r["total_error"]) for r in rows] == [r.total for r in want]
+    assert [r["num_blocks"] for r in rows] == ["20", "20"]
+
+
+def test_no_subcommand_is_named_in_one_usage_line(capsys):
+    assert dispatch([]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "usage error: the following arguments are required: subcommand\n",
+    )
+
+
+def test_compare_makes_the_block_errors_dir_and_reuses_it(tmp_path):
+    clean = synth_file(tmp_path)
+    argv = ["compare", "--clean", str(clean), "--dirty", str(clean)]
+    argv += ["--block-sizes", "36", "--output", str(tmp_path / "r.csv")]
+    errors = tmp_path / "a" / "b"
+    for _ in range(2):
+        assert dispatch([*argv, "--block-errors-dir", str(errors)]) == 0
+    assert sorted(p.name for p in errors.iterdir()) == [
+        "errors_notch_n36.csv",
+        "errors_rpt_n36.csv",
+    ]

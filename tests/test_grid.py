@@ -99,3 +99,10 @@ def test_per_block_errors_past_a_tile():
     test_per_block_errors_equal_the_operators_on_the_padded_record(
         16_416, 50.0, 107_999
     )
+
+
+@pytest.mark.parametrize("n", (36, 360, 16_416))
+def test_compare_grid_copies_neither_record(n):
+    """The output buffer, rounded up to whole blocks, and no padded copy of
+    the contaminated record: io.tiles pads the final block in its last tile."""
+    test_compare_grid_peak_memory(107_999, n, 1.8)

@@ -318,3 +318,69 @@ def test_signal_views_the_callers_array_without_freezing_it():
     x[0] = 2
     assert not s.samples.flags.writeable
     assert np.shares_memory(s.samples, x)  # a view, not a copy
+
+
+@pytest.mark.parametrize("fs", [0.0, -360.0])
+def test_signal_rejects_a_sampling_rate_that_is_not_positive(fs):
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        Signal(samples=np.zeros(3), fs=fs)
+
+
+def test_signal_takes_a_sampling_rate_below_one_hz():
+    assert Signal(samples=np.zeros(3), fs=0.5).fs == 0.5
+
+
+def test_readers_default_to_record_100(tmp_path):
+    """360 Hz for both readers; channel 0 of two, gain 200 and baseline 1024
+    for the 212 reader."""
+    text = tmp_path / "x.csv"
+    text.write_text("1\n2\n", encoding="utf-8")
+    assert read_csv(text).fs == 360.0
+    binary = tmp_path / "x.dat"
+    binary.write_bytes(pack_frames([1224, 624], [0, 0]))
+    sig = read_wfdb_212(binary)
+    assert sig.fs == 360.0 and sig.samples.tolist() == [1.0, -2.0]
+
+
+@pytest.mark.parametrize("baseline", [2**53, -(2**53)])
+def test_wfdb_212_rejects_a_baseline_of_2_to_the_53(tmp_path, baseline):
+    path = tmp_path / "b.dat"
+    path.write_bytes(bytes(3))
+    with pytest.raises(ValueError, match=rf"baseline {baseline} outside"):
+        read_wfdb_212(path, baseline=baseline)
+
+
+def test_add_sinusoid_starts_at_phase_zero():
+    sig = Signal(samples=np.zeros(36), fs=360.0)
+    want = add_sinusoid(sig, 50.0, 1.0, 0.0).samples
+    assert np.array_equal(add_sinusoid(sig, 50.0, 1.0).samples, want)
+
+
+def test_add_sinusoid_past_the_float_range_is_a_data_error_without_warning():
+    sig = Signal(samples=np.full(4, 1.5e308), fs=360.0)
+    with pytest.raises(DataFormatError, match="NaN or Inf"):
+        add_sinusoid(sig, 50.0, 1e308, 0.5)
+
+
+@pytest.mark.parametrize(
+    "duration, fs, message",
+    [(0.0, 360.0, "duration 0.0 s must be positive"), (1.0, 0.0, "sampling rate 0.0")],
+)
+def test_synth_ecg_names_a_duration_or_rate_that_is_not_positive(duration, fs, message):
+    with pytest.raises(ValueError, match=message):
+        synth_ecg(duration, fs, 72.0)
+
+
+def test_synth_ecg_takes_a_sampling_rate_below_one_hz():
+    assert len(synth_ecg(10.0, 0.5, 72.0)) == 5
+
+
+@pytest.mark.parametrize("heart_rate", [20.0, 240.0])
+def test_synth_ecg_takes_the_heart_rate_bounds(heart_rate):
+    assert len(synth_ecg(3.0, 360.0, heart_rate)) == 1080
+
+
+@pytest.mark.parametrize("heart_rate", [19.5, 240.5])
+def test_synth_ecg_rejects_a_heart_rate_past_its_bounds(heart_rate):
+    with pytest.raises(ValueError, match=f"heart rate {heart_rate} bpm outside"):
+        synth_ecg(3.0, 360.0, heart_rate)

@@ -256,3 +256,25 @@ def test_filter_block_peak_memory(coeffs):
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * x.nbytes
+
+
+@pytest.mark.parametrize("f0", [0.0, 180.0, 200.0])
+def test_design_names_a_frequency_outside_the_band(f0):
+    with pytest.raises(ValueError, match=f"notch frequency {f0} Hz outside"):
+        design_notch(f0, 360.0, 1.0)
+
+
+@pytest.mark.parametrize("f0", [0.5, 150.0])
+def test_design_takes_a_frequency_below_1_hz_and_above_a_third_of_fs(f0):
+    assert design_notch(f0, 360.0, 10.0).magnitude(f0) < 1e-9
+
+
+# at 90 Hz and fs = 360 Hz, w0 / (2 Q) reaches pi / 2 exactly at Q = 0.5
+@pytest.mark.parametrize("q", [0.4, 0.5])
+def test_design_rejects_a_band_that_reaches_nyquist(q):
+    with pytest.raises(ValueError, match="too wide"):
+        design_notch(90.0, 360.0, q)
+
+
+def test_design_takes_the_widest_band_below_nyquist():
+    assert design_notch(90.0, 360.0, 0.6).magnitude(90.0) < 1e-9

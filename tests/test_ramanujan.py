@@ -193,3 +193,15 @@ def test_factorization_default_tolerance_notices_a_1e6_error(monkeypatch):
     )
     assert not verify_factorization(12)
     assert verify_factorization(12, tol=1e-3)
+
+
+@pytest.mark.parametrize(
+    "function, name", [(euler_totient, "totient"), (ramanujan_sum, "ramanujan_sum")]
+)
+def test_a_period_below_one_is_named(function, name):
+    with pytest.raises(ValueError, match=f"{name} undefined for m=0"):
+        function(0)
+
+
+def test_ramanujan_sums_are_int64():
+    assert ramanujan_sum(12).values.dtype == np.int64

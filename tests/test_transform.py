@@ -9,6 +9,7 @@ import pytest
 from rpt.transform import (
     CoefficientVector,
     ConfigurationError,
+    FrequencyBinding,
     FrequencyNotRepresentable,
     build_plan,
     energy_spectrum,
@@ -278,3 +279,41 @@ class TestSpaceForFrequency:
 def test_bin_periods_is_n_over_gcd():
     for n in [*range(1, 200), 360, 1440, 5040, 7200, 7919]:
         assert np.array_equal(bin_periods(n), n // np.gcd(np.arange(n), n)), n
+
+
+@pytest.mark.parametrize("apply", [forward, energy_spectrum])
+def test_a_block_of_the_wrong_length_is_rejected_by_its_check(apply):
+    with pytest.raises(ValueError, match=r"expected length-4 vector, got shape \(5,\)"):
+        apply(build_plan(4), np.zeros(5))
+
+
+def test_coefficients_of_another_plan_are_rejected_by_their_check():
+    with pytest.raises(ValueError, match="coefficients for n=6 used with plan n=4"):
+        inverse(build_plan(4), CoefficientVector(plan_n=6, values=np.zeros(6)))
+
+
+def test_a_projection_onto_a_non_divisor_is_rejected_by_its_check():
+    with pytest.raises(ValueError, match="5 is not a divisor of block length 36"):
+        project(build_plan(36), np.zeros(36), 5)
+
+
+@pytest.mark.parametrize("n", [0, -36])
+def test_a_plan_names_a_block_length_below_one(n):
+    with pytest.raises(ValueError, match=f"block length must be positive, got {n}"):
+        build_plan(n)
+
+
+def test_a_binding_names_a_sampling_rate_that_is_not_positive():
+    with pytest.raises(ValueError, match="sampling rate 0.0 must be positive"):
+        space_for_frequency(50.0, 0.0, 36)
+
+
+def test_a_binding_takes_a_rate_below_one_hz_and_a_frequency_of_zero():
+    assert space_for_frequency(0.1, 0.5, 10) == FrequencyBinding(bin=2, space=5)
+    assert space_for_frequency(0.0, 360.0, 36) == FrequencyBinding(bin=0, space=1)
+
+
+def test_a_binding_rejects_the_nyquist_frequency():
+    """fs / 2 would land on bin N / 2; the check's interval is half-open."""
+    with pytest.raises(ValueError, match=r"frequency 180.0 Hz outside \[0, fs/2\)"):
+        space_for_frequency(180.0, 360.0, 36)
