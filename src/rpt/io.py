@@ -63,6 +63,13 @@ _TILE = 16_384  # samples in one tile of `tiles`: 128 KiB, which stays in cache
 # Haswell, SandyBridge, Nehalem and Prescott kernels; 4 and 8 did not.
 _ROWS = 16
 
+# Multiply-adds in one product over a record's blocks at most. OpenBLAS's
+# SkylakeX core computes products up to 10^6 of them with its small-matrix
+# kernel and larger ones with another, which gives a row other bits at some
+# widths (36 x 36 and 20 x 20 operators among them), so one product over a
+# long record would give its blocks other bits than a short record's.
+_SMALL_PRODUCT = 10**6
+
 
 def _rows(b: int, *shape: int) -> np.ndarray:
     """Zeros of the given shape and b rows, for a product's input, rounded up
@@ -81,6 +88,16 @@ def _product(x: np.ndarray, op: np.ndarray, out: np.ndarray) -> None:
     np.matmul(x[:whole], op, out=out[:whole])
     if whole < len(x):
         np.matmul(x[-_ROWS:], op, out=out[-_ROWS:])
+
+
+def _record_product(x: np.ndarray, op: np.ndarray, out: np.ndarray) -> None:
+    """Write x @ op into out, a different array, for x of a multiple of _ROWS
+    rows, one or more per block of a record: in products of multiples of
+    _ROWS rows within _SMALL_PRODUCT multiply-adds, so that a block's bits do
+    not depend on how many blocks the record holds."""
+    step = max(_SMALL_PRODUCT // op.size // _ROWS, 1) * _ROWS
+    for i in range(0, len(x), step):
+        np.matmul(x[i : i + step], op, out=out[i : i + step])
 
 
 def blocks(samples: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,6 +142,19 @@ def tiles(samples: np.ndarray, out: np.ndarray, n: int):
         x, y = blocks(samples[whole:], step)[1], np.empty(step)
         yield x.reshape(-1, n), y.reshape(-1, n)
         out[whole:] = y[: len(out) - whole]
+
+
+def tiled_blocks(length: int, n: int) -> tuple[int, int]:
+    """The row count of every tile of `tiles` over a record of length samples,
+    and the blocks those tiles hold, the last tile's zero-padded ones included
+    and a whole-block record's overlapping last tile counted once: tile i holds
+    blocks first to first + rows, first = min(i * rows, blocks - rows), so an
+    array of that many rows, one per block, lines up with the tiles."""
+    step = _step(n)
+    rows = step // n
+    if length % n == 0 and length >= step:
+        return rows, length // n
+    return rows, -(-length // step) * rows
 
 
 def halves(apply, samples: np.ndarray, out: np.ndarray, n: int, *args) -> None:

@@ -8,10 +8,15 @@ at a time: blocks of at most io.DENSE_BLOCK samples as one matrix product,
 divided by N in cache, with P_m = C_m / N, C_m the m x m circulant of the
 integer Ramanujan sum s_m tiled N / m times each way, on two cores where
 io.halves cuts the record; longer blocks as the input rows minus the period-m
-part of their fold to length m (transform.period_part), tiled. `run` and
-metrics.compare_grid call it. The dense operator depends only on N and the
-target periods, and both paths share one float copy of each C_m: each is built
-once.
+part of their fold to length m, tiled. A projector reads a block only through
+its fold (Vaidyanathan, IEEE TSP 62(16), 2014), so where a tile holds several
+blocks the parts of periods up to io.DENSE_BLOCK are taken once per record,
+the padded final block's included (transform.record_part), and a tile is one
+broadcast copy and one subtract; a longer period's part, as long as the
+block, and a one-block tile's are taken a tile at a time
+(transform.period_part). `run` and metrics.compare_grid call it. The dense
+operator depends only on N and the target periods, and both paths share one
+float copy of each C_m: each is built once.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .io import _CACHE_SIZE, DENSE_BLOCK, Signal, _product, halves, tiles
+from .io import _CACHE_SIZE, DENSE_BLOCK, Signal, _product, halves, tiled_blocks, tiles
 from .transform import (  # ConfigurationError and admissible_hint are re-exported
     CoefficientVector,
     ConfigurationError,
@@ -31,6 +36,7 @@ from .transform import (  # ConfigurationError and admissible_hint are re-export
     forward,
     inverse,
     period_part,
+    record_part,
     space_for_frequency,
 )
 
@@ -106,22 +112,42 @@ def _suppress_rows(samples, out, n: int, targets: frozenset[int]) -> None:
     block of samples, the last one zero-padded, into out, a 1-D array as long
     that does not overlap samples, one tile of io.tiles at a time through
     io.halves. A long block's output is the sum of its target parts, tiled,
-    subtracted from the block in one flat pass."""
+    subtracted from the block in one flat pass; the parts of periods up to
+    io.DENSE_BLOCK come from one pass over the record before the tiles."""
     halves(_suppress_tiles, samples, out, n, targets)
 
 
 def _suppress_tiles(samples, out, n: int, targets: frozenset[int]) -> None:
-    for x, y in tiles(samples, out, n):  # rejects n < 1
-        if n <= DENSE_BLOCK:
+    """Write each length-n block's output into out, one tile of io.tiles at a
+    time: one product a tile for n up to DENSE_BLOCK; past it, the target
+    parts, a broadcast copy and a subtract a tile."""
+    if n <= DENSE_BLOCK:
+        for x, y in tiles(samples, out, n):  # rejects n < 1
             _product(x, _dense_operator(n, targets), y)  # the operator is symmetric
             y /= n
-        elif targets:
-            for k, m in enumerate(targets):
-                tiled, part = y.reshape(len(x), n // m, m), period_part(x, m)[:, None]
-                if k:
-                    np.add(tiled, part, out=tiled)
-                else:
-                    np.copyto(tiled, part)
+        return
+    # The part of every block of the record for each period up to DENSE_BLOCK,
+    # where a tile holds several blocks; longer periods, whose part is as long
+    # as the block, and one-block tiles take theirs a tile at a time.
+    rows, count = tiled_blocks(len(samples), n)
+    parts = {
+        m: record_part(samples, n, m, count)
+        for m in targets
+        if m <= DENSE_BLOCK and rows > 1
+    }
+    for i, (x, y) in enumerate(tiles(samples, out, n)):
+        first = min(i * rows, count - rows)
+        for k, m in enumerate(targets):
+            if m in parts:
+                part = parts[m][first : first + rows]
+            else:
+                part = period_part(x, m)
+            tiled = y.reshape(rows, n // m, m)
+            if k:
+                np.add(tiled, part[:, None], out=tiled)
+            else:
+                np.copyto(tiled, part[:, None])
+        if targets:
             np.subtract(x, y, out=y)
         else:
             y[...] = x

@@ -7,10 +7,11 @@ length. The period-m subspace of a length-N block is exactly the span of the
 DFT bins k with N / gcd(k, N) = m: energy spectra sum groups of DFT bins.
 Projections read the block only through its fold to length m: for m up to
 io.DENSE_BLOCK the period-m part is the fold times the integer circulant of the
-Ramanujan sum s_m, divided by N, on io's row counts; longer periods filter the
-fold's m-point DFT. The coefficient view (forward/inverse) solves each subspace
-against its closed-form Gram matrix; distinct subspaces are mutually
-orthogonal, so this equals the dense matrix inverse.
+Ramanujan sum s_m, divided by N, on io's row counts, for a tile's blocks or
+every block of a record in one pass; longer periods filter the fold's m-point
+DFT. The coefficient view (forward/inverse) solves each subspace against its
+closed-form Gram matrix; distinct subspaces are mutually orthogonal, so this
+equals the dense matrix inverse.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .io import _CACHE_SIZE, DENSE_BLOCK, _rows
+from .io import _CACHE_SIZE, DENSE_BLOCK, _record_product, _rows, blocks
 from .ramanujan import circulant, divisors, euler_totient, shift_basis
 
 
@@ -168,7 +169,9 @@ def period_part(rows: np.ndarray, m: int) -> np.ndarray:
     segments. For m <= io.DENSE_BLOCK the part is the fold, in io._rows, times
     the symmetric integer circulant C_m, divided by N after the product (which
     overflows where an FFT would). For longer m the fold's m-point DFT keeps
-    its bins of period m: its bin j is the row's bin j N / m."""
+    its bins of period m: its bin j is the row's bin j N / m. suppress takes
+    it a tile at a time for those periods and for one-block tiles only; the
+    other parts of a record come from record_part, once per record."""
     b, n = rows.shape
     segments = rows.reshape(b, n // m, m)
     if m <= DENSE_BLOCK:
@@ -179,6 +182,23 @@ def period_part(rows: np.ndarray, m: int) -> np.ndarray:
     spectrum = np.fft.rfft(folded)
     spectrum *= (bin_periods(m)[: m // 2 + 1] == m) / (n // m)
     return np.fft.irfft(spectrum, n=m)
+
+
+def record_part(samples: np.ndarray, n: int, m: int, count: int) -> np.ndarray:
+    """period_part of every length-n block of a record, the last one
+    zero-padded, for m <= io.DENSE_BLOCK: count x m for count at least the
+    blocks, zero past them, as suppress takes it once per record with count
+    from io.tiled_blocks. The folds of every block go into one array, and the
+    product over it keeps a block's bits in one tile's product."""
+    whole, tail = blocks(samples, n)
+    fold = _rows(count, m)
+    for i, rows in ((0, whole), (len(whole), tail)):
+        segments = rows.reshape(len(rows), n // m, m)
+        np.einsum("ijk->ik", segments, out=fold[i : i + len(rows)])
+    part = np.empty_like(fold)
+    _record_product(fold, float_circulant(m), part)
+    part /= n
+    return part[:count]
 
 
 def project(plan: TransformPlan, x: np.ndarray, m: int) -> np.ndarray:

@@ -212,3 +212,27 @@ def test_circulant_cache_stays_within_the_bound_after_more_periods():
         float_circulant(m)
     info = float_circulant.cache_info()
     assert info.maxsize == _CACHE_SIZE and info.currsize <= _CACHE_SIZE
+
+
+@pytest.mark.parametrize("n", (108, 360, 2340))
+def test_cold_state_maps_give_the_warm_bits(n):
+    """The notch's long path reads every map of _state_maps, the product of a
+    sub-block and its start state included: filter_blocked with them cold,
+    warm, and warm after another design's."""
+    c, other = design_notch(50.0, FS, 1.0), design_notch(60.0, FS, 30.0)
+    for cache in (*CACHES, _state_maps):
+        cache.cache_clear()
+    cold = filter_blocked(c, X, n).tobytes()
+    assert _state_maps.cache_info().misses == 1
+    assert filter_blocked(c, X, n).tobytes() == cold
+    filter_blocked(other, X, n)
+    assert filter_blocked(c, X, n).tobytes() == cold
+
+
+def test_writing_into_the_sub_block_and_state_product_raises():
+    c = design_notch(50.0, FS, 1.0)
+    fused = _state_maps(c.b0, c.b1, c.b2, c.a1, c.a2, 36)[2]
+    op, _, _, carry = _sub_block_operators(c.b0, c.b1, c.b2, c.a1, c.a2, 36)
+    assert np.array_equal(fused, np.vstack((op, carry)))
+    with pytest.raises(ValueError, match="read-only"):
+        fused[0, 0] = 1.0
