@@ -24,7 +24,13 @@ class DataFormatError(ValueError):
 @dataclass(frozen=True)
 class Signal:
     """Uniformly sampled real signal with its sampling rate in Hz. `samples` is
-    a read-only view of the array it is given, not a copy."""
+    a read-only view of the array it is given, not a copy.
+
+    Every sample must be finite. For a 1-D float64 array one BLAS dot, the
+    sum of squares, shows it: a NaN or infinite sample makes the sum
+    non-finite. Only where the sum is not finite, which finite samples past
+    about 1e154 also make, or for another dtype or shape, are the samples
+    checked one by one."""
 
     samples: np.ndarray
     fs: float
@@ -32,7 +38,10 @@ class Signal:
     def __post_init__(self):
         if not 0 < self.fs < np.inf:
             raise ValueError(f"sampling rate {self.fs} must be positive and finite")
-        if not np.all(np.isfinite(self.samples)):
+        x = self.samples
+        with np.errstate(all="ignore"):  # the sum may overflow or underflow
+            finite = x.dtype == np.float64 and x.ndim == 1 and np.isfinite(x @ x)
+        if not (finite or np.all(np.isfinite(x))):
             raise DataFormatError("signal contains NaN or Inf samples")
         object.__setattr__(self, "samples", self.samples.view())
         self.samples.setflags(write=False)

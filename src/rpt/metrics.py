@@ -94,12 +94,12 @@ def compare_grid(
             apply()
             # past the record's end the error is -recon: the same square
             np.subtract(clean.samples, flat[: len(clean)], out=flat[: len(clean)])
-            report = SuppressionReport(n, method, np.einsum("ij,ij->i", recon, recon))
-            if not np.isfinite(report.total):  # einsum sets no overflow flag
+            errors = np.einsum("ij,ij->i", recon, recon)
+            if not np.isfinite(errors.sum()):  # einsum sets no overflow flag
                 raise DataFormatError(
                     f"{method} total error at block size {n} overflows the float range"
                 )
-            reports.append(report)
+            reports.append(SuppressionReport(n, method, errors))
     return reports
 
 

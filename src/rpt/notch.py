@@ -72,12 +72,14 @@ class BiquadCoeffs:
         return abs(num / den)
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE, typed=True)
 def design_notch(f0: float, fs: float, q: float) -> BiquadCoeffs:
     """Biquad notch with unity gain at DC and Nyquist, an exact null at f0,
     and a -3 dB bandwidth of f0/Q on the digital frequency axis.
 
     alpha = tan(w0 / (2Q)) places the half-power points so the measured
     digital bandwidth equals f0/Q (the sin-based variant undershoots it).
+    A design is cached per argument type, so an int f0 stays an int.
     """
     if not 0 < f0 < fs / 2:
         raise ValueError(f"notch frequency {f0} Hz outside (0, {fs / 2}) Hz")
@@ -101,7 +103,8 @@ def design_notch(f0: float, fs: float, q: float) -> BiquadCoeffs:
         fs=fs,
         q=q,
     )
-    if np.array_equal(coeffs.b, coeffs.a):  # 1 + alpha rounded to 1
+    # b equals a where 1 + alpha rounded to 1
+    if (coeffs.b0, coeffs.b1, coeffs.b2) == (1.0, coeffs.a1, coeffs.a2):
         raise ValueError(f"notch at {f0} Hz with Q={q} rounds to an identity filter")
     return coeffs
 

@@ -5,7 +5,7 @@ The coefficient view (`make_mask`, `suppress_block`) zeroes their coefficients
 and reconstructs. `_suppress_rows` writes the same operator I - sum of P_m,
 applied to each block of a record, into a given output, one tile of io.tiles
 at a time: blocks of at most io.DENSE_BLOCK samples as one matrix product,
-divided by N in cache, with P_m = C_m / N, C_m the m x m circulant of the
+times 1/N in cache, with P_m = C_m / N, C_m the m x m circulant of the
 integer Ramanujan sum s_m tiled N / m times each way, on two cores where
 io.halves cuts the record; longer blocks as the input rows minus the period-m
 part of their fold to length m, tiled. A projector reads a block only through
@@ -122,9 +122,10 @@ def _suppress_tiles(samples, out, n: int, targets: frozenset[int]) -> None:
     time: one product a tile for n up to DENSE_BLOCK; past it, the target
     parts, a broadcast copy and a subtract a tile."""
     if n <= DENSE_BLOCK:
-        for x, y in tiles(samples, out, n):  # rejects n < 1
-            _product(x, _dense_operator(n, targets), y)  # the operator is symmetric
-            y /= n
+        op, scale = _dense_operator(n, targets), 1 / n  # halves rejects n < 1
+        for x, y in tiles(samples, out, n):
+            _product(x, op, y)  # the operator is symmetric
+            y *= scale
         return
     # The part of every block of the record for each period up to DENSE_BLOCK,
     # where a tile holds several blocks; longer periods, whose part is as long
@@ -157,8 +158,9 @@ def _suppress_tiles(samples, out, n: int, targets: frozenset[int]) -> None:
 def _dense_operator(n: int, targets: frozenset[int]) -> np.ndarray:
     """N (I - sum of P_m) over the target periods m, read-only and shared.
 
-    Its entries are integers; dividing by N after the product, not inside it,
-    overflows on the inputs the FFT's forward pass does.
+    Its entries are integers; scaling by 1/N after the product, not inside
+    it, overflows on the inputs the FFT's forward pass does. Multiplying by
+    1/N rounds twice where dividing by N rounds once: at most 2 ulp apart.
     """
     op = n * np.eye(n) - sum(
         np.tile(float_circulant(m), (n // m, n // m)) for m in targets

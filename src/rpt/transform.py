@@ -193,8 +193,9 @@ def record_part(samples: np.ndarray, n: int, m: int, count: int) -> np.ndarray:
     whole, tail = blocks(samples, n)
     fold = _rows(count, m)
     for i, rows in ((0, whole), (len(whole), tail)):
-        segments = rows.reshape(len(rows), n // m, m)
-        np.einsum("ijk->ik", segments, out=fold[i : i + len(rows)])
+        if len(rows):  # no whole block, or no partial one
+            segments = rows.reshape(len(rows), n // m, m)
+            np.einsum("ijk->ik", segments, out=fold[i : i + len(rows)])
     part = np.empty_like(fold)
     _record_product(fold, float_circulant(m), part)
     part /= n

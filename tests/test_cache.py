@@ -236,3 +236,41 @@ def test_writing_into_the_sub_block_and_state_product_raises():
     assert np.array_equal(fused, np.vstack((op, carry)))
     with pytest.raises(ValueError, match="read-only"):
         fused[0, 0] = 1.0
+
+
+def test_cold_and_warm_notch_designs_give_the_same_bits():
+    """outputs with the design cache cold too, then warm."""
+    cold = {}
+    for n in SIZES:
+        clear_caches()
+        design_notch.cache_clear()
+        cold[n] = outputs(n)
+    assert design_notch.cache_info().misses == 1
+    for _ in range(2):
+        for n in SIZES:
+            assert outputs(n) == cold[n], n
+
+
+def test_design_cache_stays_within_the_bound_and_equals_a_fresh_design():
+    design_notch.cache_clear()
+    for q in np.linspace(0.5, 50.0, 100):
+        coeffs = design_notch(50.0, FS, q)
+        assert coeffs == design_notch.__wrapped__(50.0, FS, q)
+        assert design_notch(50.0, FS, q) is coeffs
+    info = design_notch.cache_info()
+    assert info.maxsize == _CACHE_SIZE and info.currsize == _CACHE_SIZE
+
+
+def test_a_rejected_design_raises_on_every_call():
+    design_notch.cache_clear()
+    for _ in range(3):
+        with pytest.raises(ValueError, match="identity filter"):
+            design_notch(50.0, FS, 1e300)
+    assert design_notch.cache_info().currsize == 0
+
+
+def test_a_design_is_cached_per_argument_type():
+    """design_notch(50, ...) keeps an int f0 after a float one, and back."""
+    design_notch.cache_clear()
+    for f0 in (50.0, 50, 50.0):
+        assert type(design_notch(f0, FS, 1.0).f0) is type(f0)

@@ -106,3 +106,20 @@ def test_compare_grid_copies_neither_record(n):
     """The output buffer, rounded up to whole blocks, and no padded copy of
     the contaminated record: io.tiles pads the final block in its last tile."""
     test_compare_grid_peak_memory(107_999, n, 1.8)
+
+
+@pytest.mark.parametrize(
+    "length, records",
+    [
+        (108_000, 1.3),  # warm: 1.22 records, the output buffer and long-path state
+        (107_999, 1.6),  # warm: 1.51-1.53, plus the padded last tile's copies
+    ],
+)
+@pytest.mark.parametrize("n", (360, 720, 1440))
+def test_compare_grid_peak_memory_at_long_blocks(length, n, records):
+    """Gates that bind at grid-long-n's block sizes. A first call builds the
+    cached per-size constants, which outlive it, so the call measured is the
+    second."""
+    clean, dirty = record(length, 50.0)
+    compare_grid(clean, dirty, [n], 50.0, Q)
+    test_compare_grid_peak_memory(length, n, records)

@@ -384,3 +384,76 @@ def test_synth_ecg_takes_the_heart_rate_bounds(heart_rate):
 def test_synth_ecg_rejects_a_heart_rate_past_its_bounds(heart_rate):
     with pytest.raises(ValueError, match=f"heart rate {heart_rate} bpm outside"):
         synth_ecg(3.0, 360.0, heart_rate)
+
+
+BIG = np.finfo(float).max
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [[1e200, -1e200], [BIG, -BIG], [-BIG] * 3, [1e-200, 5e-324], [1e200, 1e-200]],
+)
+def test_signal_takes_finite_samples_whose_sum_of_squares_leaves_the_float_range(
+    samples,
+):
+    x = np.array(samples)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        sig = Signal(samples=x, fs=360.0)
+    assert np.array_equal(sig.samples, x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 500, -1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("scale", [1.0, 1e200], ids=["small", "overflowing"])
+def test_signal_rejects_a_non_finite_sample_anywhere(bad, where, scale):
+    """Also where the finite samples' own sum of squares overflows."""
+    x = scale * np.random.default_rng(5).normal(size=1001)
+    x[where] = bad
+    with np.errstate(all="raise"), pytest.raises(DataFormatError, match="NaN or Inf"):
+        Signal(samples=x, fs=360.0)
+
+
+def test_signal_takes_an_int_array_as_a_view():
+    x = np.arange(-3, 4)
+    sig = Signal(samples=x, fs=360.0)
+    assert sig.samples.dtype == x.dtype and np.shares_memory(sig.samples, x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_signal_checks_a_2d_array_sample_by_sample(dtype):
+    x = np.ones((3, 4), dtype=dtype)
+    assert Signal(samples=x, fs=360.0).samples.shape == (3, 4)
+    x[2, 1] = np.nan
+    with pytest.raises(DataFormatError, match="NaN or Inf"):
+        Signal(samples=x, fs=360.0)
+
+
+def test_signal_checks_a_float32_array_sample_by_sample():
+    """Its sum of squares would overflow float32 at 1e30."""
+    x = np.array([1e30, -1e30], dtype=np.float32)
+    assert Signal(samples=x, fs=360.0).samples.dtype == np.float32
+    x[1] = np.inf
+    with pytest.raises(DataFormatError, match="NaN or Inf"):
+        Signal(samples=x, fs=360.0)
+
+
+@pytest.mark.parametrize(
+    "view, finite",
+    [
+        (np.s_[::2], True),
+        (np.s_[1::2], False),
+        (np.s_[::-1], False),
+        (np.s_[::-5], True),
+    ],
+)
+def test_signal_checks_only_the_samples_of_a_strided_view(view, finite):
+    x = np.random.default_rng(6).normal(size=100)
+    x[51] = np.inf  # on the odd and reversed views; ::-5 reads 99, 94, ..., 4
+    if finite:
+        sig = Signal(samples=x[view], fs=360.0)
+        assert np.shares_memory(sig.samples, x)
+        assert np.array_equal(sig.samples, x[view])
+    else:
+        with pytest.raises(DataFormatError, match="NaN or Inf"):
+            Signal(samples=x[view], fs=360.0)

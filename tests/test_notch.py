@@ -1,5 +1,6 @@
 """Biquad notch design and block-wise filtering."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -278,3 +279,29 @@ def test_design_rejects_a_band_that_reaches_nyquist(q):
 
 def test_design_takes_the_widest_band_below_nyquist():
     assert design_notch(90.0, 360.0, 0.6).magnitude(90.0) < 1e-9
+
+
+def old_identity_check(f0, fs, q):
+    """The design's coefficients compared as two arrays, b against a."""
+    w0 = 2.0 * math.pi * f0 / fs
+    alpha = math.tan(w0 / (2.0 * q))
+    c, scale = math.cos(w0), 1.0 / (1.0 + alpha)
+    b = np.array([scale, -2.0 * c * scale, scale])
+    a = np.array([1.0, -2.0 * c * scale, (1.0 - alpha) * scale])
+    return np.array_equal(b, a)
+
+
+@pytest.mark.parametrize("f0", [50.0, 1e-3])
+def test_design_rejects_an_identity_filter_where_b_equals_a(f0):
+    """Across the Q where 1 + alpha starts to round to 1, the coefficient
+    tuple check rejects exactly the designs whose b and a arrays are equal."""
+    rejected = 0
+    for q in np.geomspace(1e12 * f0 / 50.0, 1e18 * f0 / 50.0, 301):
+        if old_identity_check(f0, 360.0, q):
+            rejected += 1
+            with pytest.raises(ValueError, match="rounds to an identity filter"):
+                design_notch(f0, 360.0, q)
+        else:
+            c = design_notch(f0, 360.0, q)
+            assert (c.b0, c.b1, c.b2) != (1.0, c.a1, c.a2)
+    assert 0 < rejected < 301

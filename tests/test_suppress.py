@@ -18,6 +18,7 @@ from rpt.suppress import (
 )
 from rpt.transform import build_plan, project
 from rpt.ramanujan import euler_totient
+from rpt.ramanujan import circulant
 from rpt.transform import bin_periods, space_for_frequency
 
 
@@ -356,3 +357,28 @@ def test_long_path_projection_matches_dense_gram_projection(n, fs, f0, m):
         assert np.abs(project(plan, row, m) - want).max() <= tol
     out = run(Signal(samples=x, fs=fs), cfg).samples
     assert np.abs(out - (rows - dense).reshape(-1)[:size]).max() <= tol
+
+
+@pytest.mark.parametrize("extra", [0, 13], ids=["whole", "partial"])
+@pytest.mark.parametrize("f0", [50.0, 100.0])
+@pytest.mark.parametrize("n", [4, 36, 72])
+def test_dense_output_is_the_integer_product_times_the_reciprocal_of_n(n, f0, extra):
+    """Samples that are multiples of 2**-10 below 2**10 make every product with
+    the integer operator exact, whatever order BLAS sums in: each block's
+    output is (x @ op) * (1/N) to the bit, within 2 ulp of (x @ op) / N."""
+    fs = f0 * n if n == 4 else 360.0  # f0 in bin 1 at N = 4
+    cfg = SuppressionConfig(block_size=n, interference_freqs=(f0,), fs=fs)
+    assert n <= DENSE_BLOCK
+    size = 41_472 + extra  # a multiple of 4, 36 and 72, and more than two tiles
+    x = np.random.default_rng(n).integers(-(2**20), 2**20, size) / 1024
+    rows = np.zeros((-(-size // n), n))
+    rows.reshape(-1)[:size] = x
+    periods = cfg.target_spaces()
+    op = n * np.eye(n) - sum(
+        np.tile(circulant(m).entries, (n // m, n // m)) for m in periods
+    )
+    product = (rows @ op).reshape(-1)[:size]
+    out = run(Signal(samples=x, fs=fs), cfg).samples
+    assert np.array_equal(out, product * (1 / n))
+    divided = product / n
+    assert np.all(np.abs(out - divided) <= 2 * np.spacing(np.abs(divided)))
